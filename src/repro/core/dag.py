@@ -32,7 +32,7 @@ containing every node — the paper's single deadline row.
 
 **Chain reduction.**  A chain-shaped graph delegates wholesale to
 :class:`~repro.core.enforced_waits.EnforcedWaitsProblem`, so solver
-behavior (waterfill fast path, pinning, fallback chain) and results are
+behavior (exact chain solver, pinning, fallback chain) and results are
 bit-identical to the ``PipelineSpec`` formulation.
 """
 

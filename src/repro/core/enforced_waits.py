@@ -12,13 +12,21 @@ firing periods ``x_i = t_i + w_i``, in which the problem reads::
 The objective is separable convex on ``x > 0`` and all constraints are
 linear, so this is a convex program; we solve it exactly with one of:
 
+- ``auto`` (default) — :func:`repro.solvers.kkt.waterfill_chain`, an
+  exact solver for the full chain program: with ``y_i = G_i x_i`` and
+  ``G_i = prod_{j<i} g_j`` the chain rows say ``y`` is nonincreasing,
+  pool-adjacent-violators solves the Lagrangian for a fixed budget
+  multiplier, and the multiplier has a closed form per block structure.
+  Labelled ``waterfill`` when no chain row is tight, ``waterfill-chain``
+  when one is.
 - ``waterfill`` — drop the chain rows, solve the box+budget relaxation in
-  closed form (:func:`repro.solvers.kkt.waterfill_box_budget`); if the
-  relaxed optimum happens to satisfy the chain rows it is certified optimal
-  for the full problem.  This is the common fast path at slow arrival
-  rates.
+  closed form (:func:`repro.solvers.kkt.waterfill_box_budget`); raises
+  unless the relaxed optimum satisfies the chain rows.
 - ``interior`` — the from-scratch log-barrier Newton method on the full
-  constraint set, used whenever the chain binds (fast arrivals).
+  constraint set, the reference for ``auto``.  Degenerate cases
+  (deadline exactly at the minimum budget; head cap pinned at the
+  minimal period) are resolved by variable pinning first, since barrier
+  methods need a strictly feasible interior.
 - ``slsqp`` — scipy's SLSQP as an independent cross-check.
 - ``fallback`` — the resilient chain (:mod:`repro.solvers.fallback`):
   interior point, then projected gradient on the box+budget relaxation,
@@ -27,12 +35,6 @@ linear, so this is a convex program; we solve it exactly with one of:
   result only with a passing feasibility certificate.  Use this when a
   plan must come back even if the primary solver hits numerical
   trouble.
-- ``auto`` (default) — waterfill fast path, falling back to interior.
-
-Degenerate cases (deadline exactly at the minimum budget; head cap pinned
-at the minimal period) are resolved exactly by variable pinning before the
-barrier method runs, since barrier methods need a strictly feasible
-interior.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from repro.solvers.fallback import (
 )
 from repro.solvers.grid import best_feasible_index
 from repro.solvers.interior_point import barrier_solve
-from repro.solvers.kkt import waterfill_box_budget
+from repro.solvers.kkt import waterfill_box_budget, waterfill_chain
 from repro.solvers.projected_gradient import projected_gradient_min
 from repro.solvers.result import SolverResult, SolverStatus
 
@@ -133,6 +135,7 @@ class EnforcedWaitsProblem:
         self.n = pipeline.n_nodes
         self.head_cap = pipeline.vector_width * problem.tau0
         self.deadline = problem.deadline
+        self._constraints: tuple[np.ndarray, np.ndarray, list[str]] | None = None
 
     # -- objective ---------------------------------------------------------
 
@@ -154,33 +157,31 @@ class EnforcedWaitsProblem:
     # -- constraint system A x <= c ----------------------------------------
 
     def constraint_system(self) -> tuple[np.ndarray, np.ndarray, list[str]]:
-        """Full linear system ``A x <= c`` with row labels."""
-        n = self.n
-        rows: list[np.ndarray] = []
-        rhs: list[float] = []
-        labels: list[str] = []
-        r = np.zeros(n)
-        r[0] = 1.0
-        rows.append(r)
-        rhs.append(self.head_cap)
-        labels.append("head_rate")
-        for i in range(1, n):
-            r = np.zeros(n)
-            r[i] = self.g[i - 1]
-            r[i - 1] = -1.0
-            rows.append(r)
-            rhs.append(0.0)
-            labels.append(f"chain_{i - 1}->{i}")
-        rows.append(self.b.copy())
-        rhs.append(self.deadline)
-        labels.append("deadline")
-        for i in range(n):
-            r = np.zeros(n)
-            r[i] = -1.0
-            rows.append(r)
-            rhs.append(-self.t[i])
-            labels.append(f"wait_nonneg_{i}")
-        return np.vstack(rows), np.asarray(rhs), labels
+        """Full linear system ``A x <= c`` with row labels.
+
+        Built once per instance; the arrays are read-only because every
+        caller shares them.
+        """
+        if self._constraints is None:
+            n = self.n
+            A = np.zeros((2 * n + 1, n))
+            A[0, 0] = 1.0
+            rows = np.arange(1, n)
+            A[rows, rows] = self.g[: n - 1]
+            A[rows, rows - 1] = -1.0
+            A[n] = self.b
+            A[n + 1 + np.arange(n), np.arange(n)] = -1.0
+            c = np.concatenate(([self.head_cap], np.zeros(n - 1), [self.deadline], -self.t))
+            A.flags.writeable = False
+            c.flags.writeable = False
+            labels = (
+                ["head_rate"]
+                + [f"chain_{i - 1}->{i}" for i in range(1, n)]
+                + ["deadline"]
+                + [f"wait_nonneg_{i}" for i in range(n)]
+            )
+            self._constraints = (A, c, labels)
+        return self._constraints
 
     def chain_satisfied(self, x: np.ndarray, *, rtol: float = 1e-9) -> bool:
         """Do the chain rows hold at ``x`` (within relative tolerance)?"""
@@ -232,6 +233,21 @@ class EnforcedWaitsProblem:
         hi = np.full(self.n, np.inf)
         hi[0] = self.head_cap
         return waterfill_box_budget(self.t, self.b, lo, hi, self.deadline)
+
+    def _solve_chain(self) -> EnforcedWaitsSolution:
+        """Exact solve of the full program (:func:`waterfill_chain`).
+
+        The caller has checked feasibility.  Labelled ``"waterfill"`` when
+        no chain row binds (the box+budget relaxation is then optimal as
+        well) and ``"waterfill-chain"`` when one does.
+        """
+        result = waterfill_chain(
+            self.t, self.g, self.b, self.head_cap, self.deadline
+        )
+        if result.status is not SolverStatus.OPTIMAL:
+            raise SolverError(f"chain waterfill failed: {result.message}")
+        method = "waterfill-chain" if result.extra["chain_binds"] else "waterfill"
+        return self._solution_from_x(result.x, method, result)
 
     def _solve_interior(self) -> EnforcedWaitsSolution:
         """Pin degenerate variables, then run the barrier method."""
@@ -350,19 +366,21 @@ class EnforcedWaitsProblem:
         if not feas.feasible:
             return self._infeasible(feas.diagnosis)
 
-        if method in ("auto", "waterfill"):
+        if method == "auto":
+            return self._solve_chain()
+
+        if method == "waterfill":
             relaxed = self.solve_waterfill_relaxation()
             if relaxed.status is SolverStatus.OPTIMAL and self.chain_satisfied(
                 relaxed.x
             ):
                 return self._solution_from_x(relaxed.x, "waterfill", relaxed)
-            if method == "waterfill":
-                raise SolverError(
-                    "waterfill relaxation violates chain constraints; "
-                    "use method='auto' or 'interior'"
-                )
+            raise SolverError(
+                "waterfill relaxation violates chain constraints; "
+                "use method='auto' or 'interior'"
+            )
 
-        if method in ("auto", "interior"):
+        if method == "interior":
             return self._solve_interior()
 
         if method == "slsqp":

@@ -33,6 +33,7 @@ bit-identical to the one stored.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -96,6 +97,45 @@ def _canon_floats(xs: Any) -> list[str]:
     return [_canon_float(x) for x in np.asarray(xs, dtype=float).ravel()]
 
 
+def _shape_args(
+    pipeline: PipelineSpec, b: np.ndarray, method: str, tol: float
+) -> tuple:
+    """The raw, hashable inputs of a shape payload (float64 bytes)."""
+    b = np.asarray(b, dtype=float)
+    if b.shape != (pipeline.n_nodes,):
+        raise SpecError(
+            f"b must have length {pipeline.n_nodes}, got shape {b.shape}"
+        )
+    return (
+        np.asarray(pipeline.service_times, dtype=float).tobytes(),
+        np.asarray(pipeline.mean_gains, dtype=float).tobytes(),
+        int(pipeline.vector_width),
+        b.tobytes(),
+        str(method),
+        float(tol),
+    )
+
+
+@functools.lru_cache(maxsize=1024)
+def _canon_shape(
+    t: bytes, g: bytes, v: int, b: bytes, method: str, tol: float
+) -> dict:
+    """The canonical shape payload of :func:`_shape_args`, memoized.
+
+    The lists are tuples, which JSON encodes identically, so the shared
+    memo entry cannot be mutated through a returned payload.
+    """
+    return {
+        "schema": SCHEMA_VERSION,
+        "t": tuple(_canon_floats(np.frombuffer(t))),
+        "g": tuple(_canon_floats(np.frombuffer(g))),
+        "v": v,
+        "b": tuple(_canon_floats(np.frombuffer(b))),
+        "method": method,
+        "tol": _canon_float(tol),
+    }
+
+
 def shape_payload(
     pipeline: PipelineSpec,
     b: np.ndarray,
@@ -110,20 +150,7 @@ def shape_payload(
     differ but whose means agree pose the same Figure 1 problem and
     share a plan.
     """
-    b = np.asarray(b, dtype=float)
-    if b.shape != (pipeline.n_nodes,):
-        raise SpecError(
-            f"b must have length {pipeline.n_nodes}, got shape {b.shape}"
-        )
-    return {
-        "schema": SCHEMA_VERSION,
-        "t": _canon_floats(pipeline.service_times),
-        "g": _canon_floats(pipeline.mean_gains),
-        "v": int(pipeline.vector_width),
-        "b": _canon_floats(b),
-        "method": str(method),
-        "tol": _canon_float(tol),
-    }
+    return dict(_canon_shape(*_shape_args(pipeline, b, method, tol)))
 
 
 def plan_payload(
@@ -140,9 +167,44 @@ def plan_payload(
     return payload
 
 
+def _canonical_json(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
 def _digest(payload: dict) -> str:
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(_canonical_json(payload).encode()).hexdigest()
+
+
+# Keys are pure functions of their arguments, and planning requests repeat
+# a few shapes at many operating points, so both digests are memoized on
+# the raw inputs; a cache hit then costs no canonicalization or hashing.
+
+
+@functools.lru_cache(maxsize=1024)
+def _plan_json_parts(shape: tuple) -> tuple[str, str, str]:
+    """A shape's canonical plan JSON, split around its operating point.
+
+    Sorted keys put ``deadline`` before ``tau0``, and hex floats need no
+    escaping, so splicing the two quoted values between the parts yields
+    the exact bytes of :func:`plan_payload`'s JSON without encoding the
+    shape again.
+    """
+    blob = _canonical_json(dict(_canon_shape(*shape), deadline="\0", tau0="\1"))
+    head, rest = blob.split('"\\u0000"')
+    middle, tail = rest.split('"\\u0001"')
+    return head, middle, tail
+
+
+@functools.lru_cache(maxsize=4096)
+def _plan_digest(shape: tuple, tau0: float, deadline: float) -> str:
+    head, middle, tail = _plan_json_parts(shape)
+    blob = f'{head}"{_canon_float(deadline)}"{middle}"{_canon_float(tau0)}"{tail}'
     return hashlib.sha256(blob.encode()).hexdigest()
+
+
+@functools.lru_cache(maxsize=1024)
+def _shape_digest(shape: tuple) -> str:
+    return _digest(_canon_shape(*shape))
 
 
 def plan_key(
@@ -153,7 +215,11 @@ def plan_key(
     tol: float = _DEFAULT_TOL,
 ) -> str:
     """Deterministic content hash of a planning configuration."""
-    return _digest(plan_payload(problem, b, method=method, tol=tol))
+    return _plan_digest(
+        _shape_args(problem.pipeline, b, method, tol),
+        float(problem.tau0),
+        float(problem.deadline),
+    )
 
 
 def shape_key(
@@ -164,7 +230,7 @@ def shape_key(
     tol: float = _DEFAULT_TOL,
 ) -> str:
     """Content hash of the configuration *without* its operating point."""
-    return _digest(shape_payload(pipeline, b, method=method, tol=tol))
+    return _shape_digest(_shape_args(pipeline, b, method, tol))
 
 
 # -- DAG keys ---------------------------------------------------------------

@@ -7,25 +7,18 @@ for a configuration ``(pipeline, tau0, D, b, method)``:
    solution unchanged (bit-identical to the solve that produced it).
 2. **Warm start** — the cache holds a solution of the *same shape*
    (identical ``t``/``g``/``v``/``b``/method, different ``tau0`` or
-   ``D``): seed the interior-point barrier method from the cached
-   optimal periods instead of a cold start
+   ``D``): re-solve with the exact chain solver
    (:func:`warm_start_solve`).  The warm result is accepted only if the
-   barrier converges to ``OPTIMAL`` *and* a fresh
+   solver reports ``OPTIMAL`` *and* a fresh
    :class:`~repro.solvers.fallback.FeasibilityCertificate` passes on the
    full constraint system; otherwise the attempt is rejected (counted in
    ``stats.warm_rejects``) and the cold path runs.
 3. **Cold solve** — :meth:`EnforcedWaitsProblem.solve` with the
    requested method, exactly as the uncached code path.
 
-Warm-start seeding detail: a cached optimum sits *on* the boundary of
-its own feasible region (its binding constraints are tight) and may be
-slightly outside the perturbed problem's region, while the barrier
-method needs a strictly feasible start.  The seed is therefore blended
-with a strictly interior chain-tight point ``z`` — for a convex region,
-``alpha * seed + (1 - alpha) * z`` with ``alpha < 1`` is strictly
-feasible whenever ``seed`` is feasible, and decreasing ``alpha`` pulls
-an infeasible seed into the region.  The first strictly feasible blend
-(largest ``alpha``, i.e. closest to the seed) is used.
+The chain solver needs no starting point, so the cached neighbour is
+not used as a seed: seeding its budget multiplier from the neighbour
+was measured and cost more passes than the solver's own start.
 
 Infeasible configurations short-circuit: the feasibility check runs
 first (as in the cold path), the infeasible verdict is cached, and no
@@ -44,7 +37,11 @@ from repro.core.dag import (
     DagEnforcedWaitsSolution,
     DagRealTimeProblem,
 )
-from repro.core.enforced_waits import EnforcedWaitsProblem, EnforcedWaitsSolution
+from repro.core.enforced_waits import (
+    EnforcedWaitsProblem,
+    EnforcedWaitsSolution,
+    optimistic_b,
+)
 from repro.core.feasibility import enforced_feasibility
 from repro.core.model import RealTimeProblem
 from repro.errors import SolverError
@@ -56,7 +53,7 @@ from repro.planning.cache import (
     shape_key,
 )
 from repro.solvers.fallback import FeasibilityCertificate, certify_linear
-from repro.solvers.interior_point import barrier_solve
+from repro.solvers.kkt import waterfill_chain
 from repro.solvers.result import SolverStatus
 
 __all__ = [
@@ -69,7 +66,6 @@ __all__ = [
 ]
 
 _CERT_TOL = 1e-9
-_WARM_ALPHAS = (0.98, 0.9, 0.7, 0.4, 0.1)
 
 _default_cache: PlanCache | None = None
 
@@ -104,74 +100,36 @@ class PlanOutcome:
     certificate: FeasibilityCertificate | None = None
 
 
-def _strict_interior(ewp: EnforcedWaitsProblem, A: np.ndarray, c: np.ndarray) -> np.ndarray | None:
-    """A strictly feasible chain-tight point, or None if there is none.
-
-    Backward recursion ``x_{N-1} = t_{N-1}(1+d)``, ``x_{i-1} =
-    max(t_{i-1}, g_{i-1} x_i)(1+d)`` over decreasing inflations ``d``.
-    """
-    n, t, g = ewp.n, ewp.t, ewp.g
-    for delta in (0.5, 0.2, 0.05, 1e-2, 1e-3, 1e-4, 1e-6, 1e-8):
-        z = np.empty(n)
-        z[n - 1] = t[n - 1] * (1 + delta)
-        for j in range(n - 1, 0, -1):
-            z[j - 1] = max(t[j - 1], g[j - 1] * z[j]) * (1 + delta)
-        if (c - A @ z > 0).all():
-            return z
-    return None
-
-
 def warm_start_solve(
     ewp: EnforcedWaitsProblem,
     seed_periods: np.ndarray,
 ) -> tuple[EnforcedWaitsSolution, FeasibilityCertificate] | None:
-    """Barrier solve seeded near ``seed_periods``; None on rejection.
+    """Exact chain solve for a near miss of ``seed_periods``; None on rejection.
 
-    Acceptance rule (documented in docs/planning.md): the barrier method
-    must reach ``SolverStatus.OPTIMAL`` and the iterate must pass a
-    fresh linear :class:`FeasibilityCertificate` at tolerance 1e-9 on
-    the *full* constraint system.  Any numerical failure, non-optimal
+    The solve is :func:`~repro.solvers.kkt.waterfill_chain`, which needs no
+    starting point; ``seed_periods`` must still be a finite vector of the
+    problem's length.  Acceptance rule (documented in docs/planning.md):
+    the solver must reach ``SolverStatus.OPTIMAL`` and its periods must
+    pass a fresh linear :class:`FeasibilityCertificate` at tolerance 1e-9
+    on the *full* constraint system.  Any numerical failure, non-optimal
     status, or certificate rejection returns None so the caller falls
-    back to the cold solve chain.
+    back to the cold solve.
     """
-    A, c, labels = ewp.constraint_system()
     seed = np.asarray(seed_periods, dtype=float)
     if seed.shape != ewp.t.shape or not np.isfinite(seed).all():
         return None
-    seed = np.maximum(seed, ewp.t)
-    z = _strict_interior(ewp, A, c)
-    if z is None:
-        return None
-    x0 = None
-    for alpha in _WARM_ALPHAS:
-        blend = alpha * seed + (1.0 - alpha) * z
-        if (c - A @ blend > 0).all():
-            x0 = blend
-            break
-    if x0 is None:
-        x0 = z
     try:
-        result = barrier_solve(ewp._f, ewp._grad, ewp._hess, A, c, x0)
-    except (SolverError, np.linalg.LinAlgError):
+        result = waterfill_chain(ewp.t, ewp.g, ewp.b, ewp.head_cap, ewp.deadline)
+    except SolverError:
         return None
     if result.status is not SolverStatus.OPTIMAL:
         return None
+    A, c, labels = ewp.constraint_system()
     cert = certify_linear(A, c, result.x, labels=labels, tol=_CERT_TOL)
     if not cert.satisfied:
         return None
-    x = np.maximum(result.x, ewp.t)  # snap tiny bound violations
     result.extra["certificate"] = cert
-    solution = EnforcedWaitsSolution(
-        feasible=True,
-        periods=x,
-        waits=x - ewp.t,
-        active_fraction=ewp.active_fraction(x),
-        node_utilizations=ewp.t / x,
-        binding=ewp.binding_constraints(x),
-        method="warmstart(interior)",
-        solver_result=result,
-    )
-    return solution, cert
+    return ewp._solution_from_x(result.x, "warmstart(waterfill-chain)", result), cert
 
 
 def solve_plan(
@@ -192,15 +150,17 @@ def solve_plan(
     """
     if cache is None:
         cache = default_cache()
-    ewp = EnforcedWaitsProblem(problem, b)
-    key = plan_key(problem, ewp.b, method=method)
-    shape = shape_key(problem.pipeline, ewp.b, method=method)
+    if b is None:
+        b = optimistic_b(problem.pipeline)
+    key = plan_key(problem, b, method=method)
 
     t0 = time.perf_counter()
     cached = cache.get(key)
     if cached is not None:
         return PlanOutcome(cached, key, "hit", time.perf_counter() - t0)
 
+    ewp = EnforcedWaitsProblem(problem, b)
+    shape = shape_key(problem.pipeline, ewp.b, method=method)
     feas = enforced_feasibility(problem, ewp.b)
     if warm_start and feas.feasible:
         seed = cache.nearest_by_shape(shape)

@@ -10,9 +10,11 @@ from repro.core.enforced_waits import (
     optimistic_b,
     solve_enforced_waits,
 )
+from repro.core.feasibility import min_deadline_enforced, minimal_periods
 from repro.core.model import RealTimeProblem
 from repro.dataflow.spec import PipelineSpec
-from repro.errors import SpecError
+from repro.errors import SolverError, SpecError
+from repro.solvers.fallback import certify_linear
 
 
 class TestOptimisticB:
@@ -182,3 +184,79 @@ class TestEdgeCases:
         for i in range(1, 4):
             assert g[i - 1] * x[i] <= x[i - 1] * (1 + 1e-7)
         assert float(np.dot(b, x)) <= deadline * (1 + 1e-7)
+
+
+def _rung_results(problem, chain_binds):
+    """Certified results of each fallback rung, forced in turn.
+
+    The chain tries interior point, then projected gradient, then the
+    grid scan; disabling the rungs above one makes it answer.  Projected
+    gradient solves the chain-free relaxation, so it can only certify
+    when no chain row binds; elsewhere it is skipped (its three failing
+    attempts are slow).  A rung that certifies nothing raises and
+    contributes no result.
+    """
+    from contextlib import ExitStack
+    from unittest import mock
+
+    sabotage = mock.Mock(side_effect=SolverError("rung disabled"))
+    forced = [(), ("barrier_solve", "projected_gradient_min")]
+    if not chain_binds:
+        forced.append(("barrier_solve",))
+    out = []
+    for disabled in forced:
+        with ExitStack() as stack:
+            for name in disabled:
+                stack.enter_context(
+                    mock.patch(f"repro.core.enforced_waits.{name}", sabotage)
+                )
+            try:
+                out.append(problem.solve("fallback"))
+            except SolverError:
+                pass
+    return out
+
+
+class TestChainSolverOracle:
+    """The exact chain solver against every other solver in the repo."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        nodes=st.lists(
+            st.tuples(
+                st.floats(0.5, 50.0),
+                st.one_of(st.just(0.0), st.floats(0.05, 1.0), st.floats(1.0, 4.0)),
+                st.floats(0.5, 10.0),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        v=st.sampled_from([1, 4, 32, 128]),
+        tau0_factor=st.floats(1.0, 50.0),
+        deadline_factor=st.floats(1.0, 30.0),
+    )
+    def test_exact_solve_certifies_and_is_never_beaten(
+        self, nodes, v, tau0_factor, deadline_factor
+    ):
+        t, g, b = (np.asarray(col) for col in zip(*nodes))
+        pipeline = PipelineSpec.from_arrays(t, g, v)
+        tau0 = minimal_periods(pipeline)[0] / v * tau0_factor
+        deadline = min_deadline_enforced(pipeline, b) * deadline_factor
+        problem = EnforcedWaitsProblem(RealTimeProblem(pipeline, tau0, deadline), b)
+
+        exact = problem.solve("auto")
+        assert exact.feasible
+        A, c, labels = problem.constraint_system()
+        assert certify_linear(A, c, exact.periods, labels=labels, tol=1e-9).satisfied
+
+        interior = problem.solve("interior")
+        assert exact.active_fraction <= interior.active_fraction * (1 + 1e-12)
+        try:
+            slsqp = problem.solve("slsqp")
+        except SolverError:
+            slsqp = None  # SLSQP gives up on some degenerate geometries
+        if slsqp is not None:
+            assert exact.active_fraction <= slsqp.active_fraction * (1 + 1e-9)
+        chain_binds = exact.method == "waterfill-chain"
+        for rung in _rung_results(problem, chain_binds):
+            assert rung.active_fraction >= exact.active_fraction * (1 - 1e-9)

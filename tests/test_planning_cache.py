@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -16,7 +17,9 @@ from repro.planning.cache import (
     SCHEMA_VERSION,
     PlanCache,
     plan_key,
+    plan_payload,
     shape_key,
+    shape_payload,
     solution_from_dict,
     solution_to_dict,
 )
@@ -90,6 +93,34 @@ class TestKeyCanonicalization:
         )  # same pipeline object family
         assert shape_key(pipeline, [2.0, 2.0]) != s
         assert shape_key(pipeline.with_vector_width(16), b) != s
+
+    def test_blast_key_is_pinned(self):
+        """On-disk stores are keyed by these digests: they must not drift."""
+        from repro.apps.blast.pipeline import blast_pipeline, calibrated_b
+
+        problem = RealTimeProblem(blast_pipeline(), 20.0, 1.5e5)
+        assert plan_key(problem, calibrated_b()) == (
+            "c8292e734da2527aa0a8eb4dea8a5c06713819eec8b216308a2f85fe74138ec3"
+        )
+
+    @pytest.mark.parametrize(
+        "tau0,deadline,b",
+        [(20.0, 500.0, [1.0, 2.0]), (0.1, 3.5, [0.5, 1e-300]), (1e300, 1e-3, [3.0, 3.0])],
+    )
+    def test_key_is_the_digest_of_its_payload(self, pipeline, tau0, deadline, b):
+        """The memoized key path hashes exactly the canonical payload JSON."""
+        problem = RealTimeProblem(pipeline, tau0, deadline)
+        blob = json.dumps(
+            plan_payload(problem, b), sort_keys=True, separators=(",", ":")
+        )
+        assert plan_key(problem, b) == hashlib.sha256(blob.encode()).hexdigest()
+
+    def test_returned_payload_is_a_fresh_copy(self, pipeline):
+        b = [1.0, 2.0]
+        key = shape_key(pipeline, b)
+        shape_payload(pipeline, b)["v"] = 999
+        assert shape_key(pipeline, b) == key
+        assert shape_payload(pipeline, b)["v"] == 4
 
     def test_bad_b_shape_raises(self, problem):
         with pytest.raises(SpecError, match="length"):

@@ -90,10 +90,10 @@ class TestResolutionOrder:
         solve_plan(problem, b, cache=cache)
 
         def boom(*args, **kwargs):
-            raise SolverError("injected barrier failure")
+            raise SolverError("injected chain solver failure")
 
         monkeypatch.setattr(
-            "repro.planning.warmstart.barrier_solve", boom
+            "repro.planning.warmstart.waterfill_chain", boom
         )
         out = solve_plan(problem.with_tau0(22.0), b, cache=cache)
         assert out.source == "cold"
@@ -142,7 +142,7 @@ class TestWarmStartSolve:
         assert got is not None
         solution, cert = got
         assert solution.feasible
-        assert solution.method == "warmstart(interior)"
+        assert solution.method == "warmstart(waterfill-chain)"
         assert cert.satisfied
         assert solution.solver_result.extra["certificate"] is cert
 

@@ -156,9 +156,10 @@ class TestTenantLifecycle:
         assert multi.evict_tenant("ghost") is None
 
     def test_rejected_tenant_leaves_no_state(self):
-        multi = MultiPipelineExecutor(capacity=0.005)
-        # Plan demand exceeds the tiny capacity: guaranteed admission
-        # must reject and leave nothing behind.
+        multi = MultiPipelineExecutor(capacity=0.004)
+        # Plan demand (0.005: both nodes at the head cap) exceeds the
+        # tiny capacity: guaranteed admission must reject and leave
+        # nothing behind.
         decision = multi.add_tenant(
             TenantSpec(name="big", plan=_plan("big"), qos="gold")
         )
