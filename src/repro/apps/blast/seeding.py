@@ -6,12 +6,18 @@ contain any seed?" (a filter) and stage 1 enumerates the individual seed
 matches in a hit window (the expander — one window can fan out into many
 query/database position pairs, which is precisely the irregularity the
 paper's expander node models).
+
+:meth:`KmerIndex.seed_table` precomputes every seed of a whole database
+at once, so the live kernels answer both stage questions for a batch of
+windows with array lookups; :meth:`KmerIndex.has_seed` and
+:meth:`KmerIndex.window_seeds` remain the per-window reference.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.des.hotloop import gather_segments
 from repro.errors import SpecError
 
 __all__ = ["KmerIndex", "pack_kmers"]
@@ -45,6 +51,7 @@ class KmerIndex:
         self.k = int(k)
         self.query_length = int(query.size)
         codes = pack_kmers(query, k)
+        self._codes = codes
         index: dict[int, list[int]] = {}
         for pos, code in enumerate(codes):
             index.setdefault(int(code), []).append(pos)
@@ -92,3 +99,27 @@ class KmerIndex:
             return False
         codes = pack_kmers(database[start : end + self.k - 1], self.k)
         return any(int(c) in self._index for c in codes)
+
+    def seed_table(self, database: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every seed of ``database`` as a CSR table over database positions.
+
+        Returns ``(offsets, pairs)``: the seeds whose database k-mer
+        starts at position ``p`` are ``pairs[offsets[p]:offsets[p + 1]]``,
+        int64 ``(query_pos, db_pos)`` rows with ascending ``query_pos``.
+        ``offsets`` has one entry per database k-mer plus one, so the
+        seeds of window ``[start, end)`` (both clipped to the number of
+        k-mers) are ``pairs[offsets[start]:offsets[end]]`` — exactly
+        :meth:`window_seeds`, in its order.
+        """
+        database = np.asarray(database, dtype=np.uint8)
+        order = np.argsort(self._codes, kind="stable")
+        sorted_codes = self._codes[order]
+        db_codes = pack_kmers(database, self.k)
+        lo = np.searchsorted(sorted_codes, db_codes, side="left")
+        counts = np.searchsorted(sorted_codes, db_codes, side="right") - lo
+        offsets = np.zeros(db_codes.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        pairs = np.empty((int(offsets[-1]), 2), dtype=np.int64)
+        pairs[:, 0] = gather_segments(order, lo, counts)
+        pairs[:, 1] = np.repeat(np.arange(db_codes.size, dtype=np.int64), counts)
+        return offsets, pairs

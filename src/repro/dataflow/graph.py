@@ -27,8 +27,7 @@ optimizer (:mod:`repro.core.dag`) consumes the graph directly.
 from __future__ import annotations
 
 import dataclasses
-
-import networkx as nx
+import heapq
 
 from repro.dataflow.gains import GainDistribution
 from repro.dataflow.spec import NodeSpec, PipelineSpec
@@ -49,7 +48,11 @@ class DataflowGraph:
         if vector_width < 1:
             raise SpecError(f"vector_width must be >= 1, got {vector_width}")
         self.vector_width = int(vector_width)
-        self._g = nx.DiGraph()
+        self._specs: dict[str, NodeSpec] = {}
+        # Adjacency in both directions; an edge maps to its explicit gain
+        # (``None`` = inherit the source node's gain).
+        self._succ: dict[str, dict[str, GainDistribution | None]] = {}
+        self._pred: dict[str, dict[str, GainDistribution | None]] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -57,9 +60,11 @@ class DataflowGraph:
         """Register a node; names must be unique."""
         if not isinstance(spec, NodeSpec):
             raise SpecError(f"expected NodeSpec, got {type(spec).__name__}")
-        if spec.name in self._g:
+        if spec.name in self._specs:
             raise SpecError(f"duplicate node {spec.name!r}")
-        self._g.add_node(spec.name, spec=spec)
+        self._specs[spec.name] = spec
+        self._succ[spec.name] = {}
+        self._pred[spec.name] = {}
 
     def add_edge(
         self, src: str, dst: str, gain: GainDistribution | None = None
@@ -73,43 +78,56 @@ class DataflowGraph:
         unevenly.
         """
         for name in (src, dst):
-            if name not in self._g:
+            if name not in self._specs:
                 raise SpecError(f"unknown node {name!r}")
         if src == dst:
             raise SpecError(f"self-loop on {src!r} is not allowed")
-        if self._g.has_edge(src, dst):
+        if dst in self._succ[src]:
             raise SpecError(f"duplicate edge {src!r}->{dst!r}")
         if gain is not None and not isinstance(gain, GainDistribution):
             raise SpecError(
                 f"gain of edge {src!r}->{dst!r} must be a GainDistribution, "
                 f"got {type(gain).__name__}"
             )
-        self._g.add_edge(src, dst, gain=gain)
-        if not nx.is_directed_acyclic_graph(self._g):
-            self._g.remove_edge(src, dst)
+        if self._reaches(dst, src):
             raise SpecError(f"edge {src!r}->{dst!r} would create a cycle")
+        self._succ[src][dst] = gain
+        self._pred[dst][src] = gain
+
+    def _reaches(self, start: str, goal: str) -> bool:
+        """True iff a directed path leads from ``start`` to ``goal``."""
+        seen, frontier = {start}, [start]
+        while frontier:
+            n = frontier.pop()
+            if n == goal:
+                return True
+            for s in self._succ[n]:
+                if s not in seen:
+                    seen.add(s)
+                    frontier.append(s)
+        return False
 
     # -- queries ------------------------------------------------------------
 
     @property
     def n_nodes(self) -> int:
-        return self._g.number_of_nodes()
+        return len(self._specs)
 
     @property
     def n_edges(self) -> int:
-        return self._g.number_of_edges()
+        return sum(len(succs) for succs in self._succ.values())
 
     def spec(self, name: str) -> NodeSpec:
         """The :class:`NodeSpec` registered under ``name``."""
         try:
-            return self._g.nodes[name]["spec"]
+            return self._specs[name]
         except KeyError as exc:
             raise SpecError(f"unknown node {name!r}") from exc
 
     def edge_gain(self, src: str, dst: str) -> GainDistribution:
         """The gain distribution on ``src -> dst`` (inherited or explicit)."""
         try:
-            explicit = self._g.edges[src, dst]["gain"]
+            explicit = self._succ[src][dst]
         except KeyError as exc:
             raise SpecError(f"no edge {src!r}->{dst!r}") from exc
         return self.spec(src).gain if explicit is None else explicit
@@ -117,7 +135,7 @@ class DataflowGraph:
     def edge_gain_is_inherited(self, src: str, dst: str) -> bool:
         """True iff the edge uses its source node's gain distribution."""
         try:
-            return self._g.edges[src, dst]["gain"] is None
+            return self._succ[src][dst] is None
         except KeyError as exc:
             raise SpecError(f"no edge {src!r}->{dst!r}") from exc
 
@@ -127,34 +145,51 @@ class DataflowGraph:
 
     def sources(self) -> list[str]:
         """Nodes with no predecessors (stream entry points)."""
-        return [n for n in self._g if self._g.in_degree(n) == 0]
+        return [n for n, preds in self._pred.items() if not preds]
 
     def sinks(self) -> list[str]:
         """Nodes with no successors (stream exit points)."""
-        return [n for n in self._g if self._g.out_degree(n) == 0]
+        return [n for n, succs in self._succ.items() if not succs]
 
     def predecessors(self, name: str) -> list[str]:
         """Predecessors of ``name`` in deterministic (topological) order."""
         pos = {n: i for i, n in enumerate(self.topological_order())}
         if name not in pos:
             raise SpecError(f"unknown node {name!r}")
-        return sorted(self._g.predecessors(name), key=pos.__getitem__)
+        return sorted(self._pred[name], key=pos.__getitem__)
 
     def successors(self, name: str) -> list[str]:
         """Successors of ``name`` in deterministic (topological) order."""
         pos = {n: i for i, n in enumerate(self.topological_order())}
         if name not in pos:
             raise SpecError(f"unknown node {name!r}")
-        return sorted(self._g.successors(name), key=pos.__getitem__)
+        return sorted(self._succ[name], key=pos.__getitem__)
 
     def topological_order(self) -> list[str]:
-        """Node names in a deterministic topological order."""
-        return list(nx.lexicographical_topological_sort(self._g))
+        """Node names in the lexicographically smallest topological order.
+
+        Kahn's algorithm with the ready set kept as a heap of names.
+        """
+        indegree = {n: len(preds) for n, preds in self._pred.items()}
+        ready = [n for n, d in indegree.items() if d == 0]
+        heapq.heapify(ready)
+        order: list[str] = []
+        while ready:
+            n = heapq.heappop(ready)
+            order.append(n)
+            for s in self._succ[n]:
+                indegree[s] -= 1
+                if indegree[s] == 0:
+                    heapq.heappush(ready, s)
+        return order
 
     def edges(self) -> list[tuple[str, str]]:
         """All edges ``(src, dst)`` in deterministic (topological) order."""
         pos = {n: i for i, n in enumerate(self.topological_order())}
-        return sorted(self._g.edges, key=lambda e: (pos[e[0]], pos[e[1]]))
+        return sorted(
+            ((a, b) for a, succs in self._succ.items() for b in succs),
+            key=lambda e: (pos[e[0]], pos[e[1]]),
+        )
 
     # -- validation ---------------------------------------------------------
 
@@ -162,9 +197,10 @@ class DataflowGraph:
         """Certify the single-source acyclic connected DAG shape.
 
         Raises :class:`SpecError` with an actionable message when the
-        graph is empty, has zero or multiple sources, or is not weakly
-        connected.  Acyclicity is already enforced edge-by-edge at
-        construction.  Returns ``self`` so calls can chain.
+        graph is empty or has zero or multiple sources.  Acyclicity is
+        already enforced edge-by-edge at construction, and an acyclic
+        graph with one source is connected: every node descends from
+        it.  Returns ``self`` so calls can chain.
         """
         if self.n_nodes == 0:
             raise SpecError(
@@ -179,17 +215,6 @@ class DataflowGraph:
                 f"dataflow graph has {len(srcs)} sources {sorted(srcs)}; "
                 "streaming semantics require exactly one entry node — merge "
                 "the extra sources under a single head node or remove them"
-            )
-        if self.n_nodes > 1 and not nx.is_weakly_connected(self._g):
-            comps = sorted(
-                sorted(c) for c in nx.weakly_connected_components(self._g)
-            )
-            stray = [c for c in comps if srcs[0] not in c]
-            raise SpecError(
-                "dataflow graph is disconnected; nodes "
-                f"{[n for c in stray for n in c]} are unreachable from "
-                f"source {srcs[0]!r} — connect them with add_edge() or "
-                "remove them"
             )
         return self
 
@@ -209,15 +234,15 @@ class DataflowGraph:
         to ``G_i = prod_{j<i} g_j`` exactly.
         """
         order = self.topological_order()
-        flow = {n: (1.0 if self._g.in_degree(n) == 0 else 0.0) for n in order}
+        flow = {n: (0.0 if self._pred[n] else 1.0) for n in order}
         for n in order:
-            for s in self._g.successors(n):
+            for s in self._succ[n]:
                 flow[s] += flow[n] * self.edge_mean_gain(n, s)
         return flow
 
     def total_gain_into(self, name: str) -> float:
         """Expected items reaching ``name`` per source input (``G_i``)."""
-        if name not in self._g:
+        if name not in self._specs:
             raise SpecError(f"unknown node {name!r}")
         return self.total_gains()[name]
 
@@ -231,19 +256,22 @@ class DataflowGraph:
         """
         src = self.single_source()
         pos = {n: i for i, n in enumerate(self.topological_order())}
+        # Depth-first over successors: in a DAG every path is simple, and
+        # every maximal path from the source ends at a sink.
         paths: list[tuple[str, ...]] = []
-        for sink in sorted(self.sinks(), key=pos.__getitem__):
-            if sink == src:
-                paths.append((src,))
-                continue
-            for path in nx.all_simple_paths(self._g, src, sink):
-                paths.append(tuple(path))
+        stack: list[tuple[str, ...]] = [(src,)]
+        while stack:
+            path = stack.pop()
+            succs = self._succ[path[-1]]
+            if not succs:
+                paths.append(path)
                 if len(paths) > _MAX_PATHS:
                     raise SpecError(
                         f"dataflow graph has more than {_MAX_PATHS} "
                         "source->sink paths; per-path deadline constraints "
                         "do not scale to this topology"
                     )
+            stack.extend(path + (s,) for s in succs)
         paths.sort(key=lambda p: tuple(pos[n] for n in p))
         return paths
 
@@ -275,20 +303,18 @@ class DataflowGraph:
     # -- chain certification -------------------------------------------------
 
     def is_chain(self) -> bool:
-        """True iff the graph is a single linear pipeline."""
-        if self.n_nodes == 0:
-            return False
-        if self.n_nodes == 1:
-            return True
+        """True iff the graph is a single linear pipeline.
+
+        Acyclic with no branching and one source, the graph is one path.
+        """
         degrees_ok = all(
-            self._g.in_degree(n) <= 1 and self._g.out_degree(n) <= 1
-            for n in self._g
+            len(self._pred[n]) <= 1 and len(self._succ[n]) <= 1
+            for n in self._specs
         )
         return (
             degrees_ok
             and len(self.sources()) == 1
             and len(self.sinks()) == 1
-            and nx.is_weakly_connected(self._g)
         )
 
     def as_chain(self) -> PipelineSpec:
@@ -302,8 +328,8 @@ class DataflowGraph:
         if not self.is_chain():
             branching = sorted(
                 n
-                for n in self._g
-                if self._g.in_degree(n) > 1 or self._g.out_degree(n) > 1
+                for n in self._specs
+                if len(self._pred[n]) > 1 or len(self._succ[n]) > 1
             )
             detail = (
                 f"nodes {branching} branch or merge"
@@ -321,7 +347,7 @@ class DataflowGraph:
         (current,) = self.sources()
         while True:
             order.append(current)
-            succs = list(self._g.successors(current))
+            succs = list(self._succ[current])
             if not succs:
                 break
             current = succs[0]

@@ -15,9 +15,10 @@ enforced-waits simulator and the runtime app kernels:
   form ``C_k = min(v*(k+1), v*k + min_{j<=k}(A_j - v*j))`` (a Lindley
   recursion), evaluated with one ``np.minimum.accumulate`` in exact
   int64 arithmetic.
-- :func:`ragged_gather` — gather variable-length segments
-  ``flat[offsets[i]:offsets[i+1]]`` for a batch of indices (the runtime
-  pair-expansion kernels' inner loop).
+- :func:`gather_segments` — concatenate the segments
+  ``flat[begins[j]:begins[j]+counts[j]]`` (the runtime expander
+  kernels' inner loop); :func:`ragged_gather` is its CSR form,
+  gathering ``flat[offsets[i]:offsets[i+1]]`` for a batch of indices.
 
 Each primitive has a NumPy implementation and, when the active
 :mod:`repro.simd.backend` is ``numba``, a JIT-compiled twin performing
@@ -32,7 +33,7 @@ import numpy as np
 
 from repro.simd.backend import demote_backend, get_backend
 
-__all__ = ["firing_schedule", "consumed_scan", "ragged_gather"]
+__all__ = ["firing_schedule", "consumed_scan", "gather_segments", "ragged_gather"]
 
 
 # -- NumPy implementations ---------------------------------------------------
@@ -178,6 +179,23 @@ def consumed_scan(avail: np.ndarray, v: int) -> np.ndarray:
     return _consumed_scan_np(avail, int(v))
 
 
+def gather_segments(
+    flat: np.ndarray, begins: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
+    """Concatenate ``flat[begins[j] : begins[j] + counts[j]]`` over ``j``.
+
+    Gathers along axis 0, so ``flat`` may hold multi-column rows.
+    """
+    begins = np.ascontiguousarray(begins, dtype=np.int64)
+    counts = np.ascontiguousarray(counts, dtype=np.int64)
+    nb = _impls()
+    if nb is not None:
+        pos = nb["gather_positions"](begins, counts)
+    else:
+        pos = _gather_positions_np(begins, counts)
+    return np.asarray(flat)[pos]
+
+
 def ragged_gather(
     offsets: np.ndarray, flat: np.ndarray, idx: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -193,10 +211,4 @@ def ragged_gather(
     begins = offsets[idx]
     counts = offsets[idx + 1] - begins
     owners = np.repeat(idx, counts)
-    nb = _impls()
-    if nb is not None:
-        pos = nb["gather_positions"](begins, counts)
-    else:
-        pos = _gather_positions_np(begins, counts)
-    values = np.asarray(flat)[pos]
-    return counts, owners, values
+    return counts, owners, gather_segments(flat, begins, counts)

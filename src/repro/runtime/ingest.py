@@ -245,6 +245,7 @@ class IngestServer:
                 "submit items must be scalars or fixed-width rows "
                 "(ragged or mixed-type arrays are not ingestible)"
             )
+        self.executor.kernels[0].check_payload(payload)
         k = len(payload)
         if self.admission is not None:
             in_flight = self.executor.in_flight

@@ -184,6 +184,7 @@ class MultiTenantIngestServer:
                 "submit items must be scalars or fixed-width rows "
                 "(ragged or mixed-type arrays are not ingestible)"
             )
+        self.multi.executor(tenant).kernels[0].check_payload(payload)
         k = len(payload)
         in_flight = self.multi.in_flight(tenant)
         if in_flight + k > record.budget:

@@ -1,6 +1,10 @@
 """Tests for the general dataflow graph."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dataflow.graph import DataflowGraph
 from repro.dataflow.gains import BernoulliGain, DeterministicGain
@@ -255,3 +259,162 @@ class TestPaths:
     def test_describe_mentions_gains(self):
         text = _weighted_diamond().describe()
         assert "G_i" in text and "dataflow graph" in text
+
+
+# -- property: random construction programs vs brute-force oracles ----------
+
+_NAMES = ["a", "b", "c", "B", "a1", "d"]  # mixed case: plain str ordering
+
+_node_op = st.tuples(st.just("node"), st.sampled_from(_NAMES))
+_edge_op = st.tuples(
+    st.just("edge"),
+    st.sampled_from(_NAMES),
+    st.sampled_from(_NAMES),
+    st.booleans(),
+)
+# Mostly nodes first and edges after, so edge calls meet a populated
+# graph; a mixed tail covers every interleaving.
+_programs = st.builds(
+    lambda *parts: [op for part in parts for op in part],
+    st.lists(_node_op, min_size=1, max_size=8),
+    st.lists(_edge_op, min_size=2, max_size=20),
+    st.lists(st.one_of(_node_op, _edge_op), max_size=8),
+)
+
+
+def _state(g):
+    return (
+        g.n_nodes,
+        g.n_edges,
+        g.topological_order(),
+        g.edges(),
+        [g.edge_gain_is_inherited(a, b) for a, b in g.edges()],
+    )
+
+
+def _reaches(edges, start, goal):
+    seen, todo = {start}, [start]
+    while todo:
+        n = todo.pop()
+        if n == goal:
+            return True
+        for a, b in edges:
+            if a == n and b not in seen:
+                seen.add(b)
+                todo.append(b)
+    return False
+
+
+def _smallest_topological_order(nodes, edges):
+    valid = [
+        p
+        for p in itertools.permutations(nodes)
+        if all(p.index(a) < p.index(b) for a, b in edges)
+    ]
+    return list(min(valid))
+
+
+def _all_paths(nodes, edges, src, sinks):
+    """Every node sequence from ``src`` to a sink along edges (brute force)."""
+    found = []
+    for r in range(1, len(nodes) + 1):
+        for seq in itertools.permutations(nodes, r):
+            if (
+                seq[0] == src
+                and seq[-1] in sinks
+                and all((a, b) in edges for a, b in zip(seq, seq[1:]))
+            ):
+                found.append(seq)
+    return found
+
+
+def _weakly_connected(nodes, edges):
+    undirected = set(edges) | {(b, a) for a, b in edges}
+    return all(_reaches(undirected, nodes[0], n) for n in nodes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_programs)
+def test_construction_programs_match_brute_force(program):
+    g = DataflowGraph(4)
+    nodes: list[str] = []
+    edges: dict[tuple[str, str], bool] = {}  # edge -> explicit gain
+    for op in program:
+        before = _state(g)
+        if op[0] == "node":
+            name = op[1]
+            if name in nodes:
+                with pytest.raises(SpecError, match="duplicate node"):
+                    g.add_node(_node(name))
+            else:
+                g.add_node(_node(name, g=0.5))
+                nodes.append(name)
+                continue
+        else:
+            _, src, dst, explicit = op
+            gain = DeterministicGain(2) if explicit else None
+            if src not in nodes or dst not in nodes:
+                expected = "unknown node"
+            elif src == dst:
+                expected = "self-loop"
+            elif (src, dst) in edges:
+                expected = "duplicate edge"
+            elif _reaches(edges, dst, src):
+                expected = "would create a cycle"
+            else:
+                g.add_edge(src, dst, gain)
+                edges[(src, dst)] = explicit
+                continue
+            with pytest.raises(SpecError, match=expected):
+                g.add_edge(src, dst, gain)
+        assert _state(g) == before  # a rejected call changes nothing
+
+    assert g.n_nodes == len(nodes) and g.n_edges == len(edges)
+    order = _smallest_topological_order(nodes, edges)
+    assert g.topological_order() == order
+    pos = {n: i for i, n in enumerate(order)}
+    sources = [n for n in nodes if not any(b == n for _, b in edges)]
+    sinks = [n for n in nodes if not any(a == n for a, _ in edges)]
+    assert g.sources() == sources
+    assert g.sinks() == sinks
+    assert g.edges() == sorted(edges, key=lambda e: (pos[e[0]], pos[e[1]]))
+    for n in nodes:
+        assert g.predecessors(n) == sorted(
+            (a for a, b in edges if b == n), key=pos.__getitem__
+        )
+        assert g.successors(n) == sorted(
+            (b for a, b in edges if a == n), key=pos.__getitem__
+        )
+    for (a, b), explicit in edges.items():
+        assert g.edge_gain_is_inherited(a, b) is not explicit
+
+    if not nodes:
+        with pytest.raises(SpecError, match="empty"):
+            g.validate()
+    elif len(sources) != 1:
+        with pytest.raises(SpecError, match=f"{len(sources)} sources"):
+            g.validate()
+    else:
+        assert _weakly_connected(nodes, edges)
+        assert g.validate() is g
+        paths = _all_paths(nodes, edges, sources[0], sinks)
+        assert g.source_sink_paths() == sorted(
+            paths, key=lambda p: tuple(pos[n] for n in p)
+        )
+
+    degrees_ok = all(
+        sum(b == n for _, b in edges) <= 1 and sum(a == n for a, _ in edges) <= 1
+        for n in nodes
+    )
+    chain = bool(nodes) and (
+        len(nodes) == 1
+        or (
+            degrees_ok
+            and len(sources) == 1
+            and len(sinks) == 1
+            and _weakly_connected(nodes, edges)
+        )
+    )
+    assert g.is_chain() is chain
+    if chain:
+        assert [n.name for n in g.as_chain().nodes] == order

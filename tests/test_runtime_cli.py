@@ -3,10 +3,30 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.runtime.cli import main
+
+
+def test_cli_import_leaves_networkx_unloaded():
+    """The serving cold start imports only declared dependencies."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = "import sys, repro.runtime.cli; print('networkx' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.slow

@@ -234,3 +234,86 @@ class TestIngestServer:
         finally:
             client.close()
             server.stop()
+
+
+class TestTableRowRejection:
+    """A row outside the workload's preloaded table is refused at ingest.
+
+    Before the check, a negative BLAST window start slipped through the
+    seed filter by negative slicing and crashed the seed expander, which
+    stopped the whole pipeline; an out-of-range gamma id raised in the
+    head filter.
+    """
+
+    @pytest.mark.parametrize(
+        "app, bad_rows",
+        [
+            ("blast", lambda wl: [-49904]),
+            ("gamma", lambda wl: [wl.detail["photons"]]),
+            ("gamma", lambda wl: [-1]),
+            ("blast", lambda wl: [1.5]),
+            ("blast", lambda wl: [[0, 1]]),
+        ],
+    )
+    def test_bad_rows_rejected_and_pipeline_keeps_serving(self, app, bad_rows):
+        from repro.runtime.kernels import build_workload
+
+        wl = build_workload(app, seed=0)
+        for kernel in wl.kernels:
+            kernel.nominal_service = 0.001
+        ex = PipelineExecutor(
+            wl.kernels, [0.0] * wl.n_nodes, vector_width=8, deadline=10.0
+        )
+        ex.start()
+        server = IngestServer(ex, port=0).start()
+        client = _Client(server.host, server.port)
+        try:
+            reply = client.request({"op": "submit", "items": bad_rows(wl)})
+            assert reply["error"].startswith("SpecError")
+            good = wl.sample_payload(16, np.random.default_rng(0)).tolist()
+            assert client.request({"op": "submit", "items": good}) == {
+                "ok": True,
+                "accepted": 16,
+            }
+            stats = client.request({"op": "stats"})
+            assert stats["items_ingested"] == 16
+            assert stats["serving"]["errors"] == 1
+        finally:
+            client.close()
+            server.stop()
+        report = ex.join(timeout=20.0)
+        assert report.node_failures == ()
+        assert report.missed_items == 0
+
+    def test_tenant_submit_rejects_bad_rows(self):
+        from repro.runtime.kernels import build_workload, plan_runtime
+        from repro.tenancy.executor import MultiPipelineExecutor
+        from repro.tenancy.server import MultiTenantIngestServer
+
+        def plan_factory(name, tau0, deadline):
+            wl = build_workload("gamma", seed=0)
+            for kernel in wl.kernels:
+                kernel.nominal_service = 0.001
+            return plan_runtime(
+                wl, vector_width=8, tau0=0.05, deadline=10.0,
+                calibrate_b=False, n_gain_items=64, seed=0,
+            )
+
+        multi = MultiPipelineExecutor(arbitration="wrr").start()
+        server = MultiTenantIngestServer(multi, plan_factory).start()
+        client = _Client(server.host, server.port)
+        try:
+            admit = client.request({"op": "admit", "tenant": "g"})
+            assert admit["ok"] is True, admit
+            reply = client.request(
+                {"op": "submit", "tenant": "g", "items": [-1, 3]}
+            )
+            assert reply["error"].startswith("SpecError")
+            good = {"op": "submit", "tenant": "g", "items": [0, 1, 2, 3]}
+            assert client.request(good)["accepted"] == 4
+        finally:
+            client.close()
+            server.stop()
+        report = multi.join(timeout=20.0)
+        assert report.report("g").node_failures == ()
+        assert report.missed("g") == 0
