@@ -12,10 +12,27 @@ inter-firing period is exactly ``t_i + w_i``, matching the optimizer's
 model; the GPS timing models (ablation A1) let firing durations depend on
 concurrent activity.
 
+Routing
+-------
+Each node's completions are routed over its row of a **channel table**
+``[(dst | None, gain, rng stream, sink ledger | None)]``: every consumed
+item is replicated along each channel, the channel's gain sampled on its
+own RNG stream, and ``dst=None`` exits the pipeline (scored on the run's
+ledger and, when given, the channel's own sink ledger).  For a
+:class:`~repro.dataflow.spec.PipelineSpec` the constructor builds the
+table directly — node ``i`` feeds ``i+1`` on stream ``node{i}.gain`` and
+the tail exits — so a chain is the DAG whose nodes each have one
+out-edge; :class:`~repro.sim.dag.DagEnforcedWaitsSimulator` only builds a
+branching table over the same event loop.
+
 Event ordering at equal virtual times is: arrivals first, then firing
-completions, then firing starts — so an item arriving at ``t`` is visible
-to a node firing at ``t``, and outputs completing at ``t`` reach a
-downstream node that also fires at ``t``.
+completions in the completing node's topological index (node ``i``'s
+completion carries priority ``i``), then firing starts (priority ``N``)
+— so an item arriving at ``t`` is visible to a node firing at ``t``,
+outputs completing at ``t`` reach a downstream node that also fires at
+``t``, and a fan-in queue receives same-time pushes in predecessor
+order.  On a chain, same-time completions of different nodes touch
+disjoint queues, so the per-node ranking changes no result.
 
 Chunked arrivals
 ----------------
@@ -57,8 +74,9 @@ path is bit-identical to the plain simulator (pinned by
   as ``queue_shed`` in telemetry.
 - ``watchdog`` — a :class:`~repro.resilience.watchdog.DeadlineWatchdog`
   that zeroes the enforced waits while slack erodes and restores them
-  (with hysteresis) once the backlog drains; degraded intervals land in
-  ``metrics.extra["resilience"]`` and telemetry.
+  (with hysteresis) once the backlog drains; once every item has left,
+  the planned waits apply again so the run can shut down.  Degraded
+  intervals land in ``metrics.extra["resilience"]`` and telemetry.
 """
 
 from __future__ import annotations
@@ -69,7 +87,7 @@ from functools import partial
 import numpy as np
 
 from repro.arrivals.base import ArrivalProcess
-from repro.dataflow.gains import is_passthrough
+from repro.dataflow.gains import GainDistribution, is_passthrough
 from repro.dataflow.queues import ItemQueue
 from repro.dataflow.spec import PipelineSpec
 from repro.des.engine import Engine
@@ -88,9 +106,14 @@ from repro.simd.sharing import IdealizedSharing, TimingModel, WorkConservingShar
 
 __all__ = ["EnforcedWaitsSimulator"]
 
-_PRIO_ARRIVAL = -1
-_PRIO_COMPLETE = 0
-_PRIO_FIRE = 1
+# A completion's priority is its node's topological index and firing
+# starts rank after every completion (see the module docstring); the GPS
+# timing models drain all due completions from one event at the front.
+_PRIO_GPS = 0
+
+#: One routing channel: destination node (``None`` exits the pipeline),
+#: gain distribution, RNG stream name, and the exit's own sink ledger.
+Channel = tuple[int | None, GainDistribution, str, LatencyLedger | None]
 
 
 class EnforcedWaitsSimulator:
@@ -175,11 +198,57 @@ class EnforcedWaitsSimulator:
         watchdog: DeadlineWatchdog | None = None,
         engine: Engine | None = None,
     ) -> None:
+        n = pipeline.n_nodes
+        waits, start_offsets = self._check_args(
+            n, waits, deadline, n_items, start_offsets
+        )
+        self.pipeline = pipeline
+        # Minimum downstream service from node i (inclusive) to the tail:
+        # the deadline-aware shed policy's traversal estimate.
+        service = pipeline.service_times
+        self._downstream_service = np.asarray(
+            [float(service[i:].sum()) for i in range(n)]
+        )
+        channels = [
+            [(i + 1 if i + 1 < n else None, node.gain, f"node{i}.gain", None)]
+            for i, node in enumerate(pipeline.nodes)
+        ]
+        self._init_loop(
+            [node.name for node in pipeline.nodes],
+            [float(node.service_time) for node in pipeline.nodes],
+            pipeline.vector_width,
+            channels,
+            waits,
+            arrivals,
+            deadline,
+            n_items,
+            seed=seed,
+            charge_empty_firings=charge_empty_firings,
+            timing=timing,
+            start_offsets=start_offsets,
+            keep_latency_samples=keep_latency_samples,
+            trace=trace,
+            telemetry=telemetry,
+            max_events=max_events,
+            runtime_faults=runtime_faults,
+            queue_capacity=queue_capacity,
+            shed_policy=shed_policy,
+            watchdog=watchdog,
+            engine=engine,
+        )
+
+    @staticmethod
+    def _check_args(
+        n: int,
+        waits: np.ndarray,
+        deadline: float,
+        n_items: int,
+        start_offsets: np.ndarray | None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Validate the run arguments; returns float ``(waits, offsets)``."""
         waits = np.asarray(waits, dtype=float)
-        if waits.shape != (pipeline.n_nodes,):
-            raise SpecError(
-                f"waits must have length {pipeline.n_nodes}, got {waits.shape}"
-            )
+        if waits.shape != (n,):
+            raise SpecError(f"waits must have length {n}, got {waits.shape}")
         if (waits < 0).any():
             raise SpecError("waits must be >= 0")
         if n_items < 1:
@@ -187,18 +256,45 @@ class EnforcedWaitsSimulator:
         if deadline <= 0:
             raise SpecError(f"deadline must be > 0, got {deadline}")
         if start_offsets is None:
-            start_offsets = np.zeros(pipeline.n_nodes)
-        else:
-            start_offsets = np.asarray(start_offsets, dtype=float)
-            if start_offsets.shape != (pipeline.n_nodes,):
-                raise SpecError(
-                    f"start_offsets must have length {pipeline.n_nodes}"
-                )
-            if (start_offsets < 0).any():
-                raise SpecError("start_offsets must be >= 0")
+            return waits, np.zeros(n)
+        start_offsets = np.asarray(start_offsets, dtype=float)
+        if start_offsets.shape != (n,):
+            raise SpecError(f"start_offsets must have length {n}")
+        if (start_offsets < 0).any():
+            raise SpecError("start_offsets must be >= 0")
+        return waits, start_offsets
+
+    def _init_loop(
+        self,
+        names: list[str],
+        service_times: list[float],
+        vector_width: int,
+        channels: list[list[Channel]],
+        waits: np.ndarray,
+        arrivals: ArrivalProcess,
+        deadline: float,
+        n_items: int,
+        *,
+        seed: int,
+        charge_empty_firings: bool,
+        start_offsets: np.ndarray,
+        keep_latency_samples: bool,
+        max_events: int,
+        timing: str = "idealized",
+        trace: TraceRecorder | None = None,
+        telemetry: bool = False,
+        runtime_faults: RuntimeFaultPlan | None = None,
+        queue_capacity: int | None = None,
+        shed_policy: str | None = None,
+        watchdog: DeadlineWatchdog | None = None,
+        engine: Engine | None = None,
+    ) -> None:
+        """Arm the event loop over a topologically ordered channel table
+        (node 0 is the source; see the module docstring); ``waits`` and
+        ``start_offsets`` come from :meth:`_check_args`."""
+        n = len(names)
         self.start_offsets = start_offsets
 
-        self.pipeline = pipeline
         self.waits = waits
         self.arrivals = arrivals
         self.deadline = float(deadline)
@@ -222,13 +318,6 @@ class EnforcedWaitsSimulator:
         # shared engine drives it via prepare()/finalize() instead of run().
         self._owns_engine = engine is None
         self.engine = Engine() if engine is None else engine
-        n = pipeline.n_nodes
-        # Minimum downstream service from node i (inclusive) to the tail:
-        # the deadline-aware shed policy's traversal estimate.
-        service = pipeline.service_times
-        self._downstream_service = np.asarray(
-            [float(service[i:].sum()) for i in range(n)]
-        )
         self.queues = [
             ItemQueue(
                 f"q{i}",
@@ -245,17 +334,10 @@ class EnforcedWaitsSimulator:
             for i in range(n)
         ]
         self._shed_counts = np.zeros(n, dtype=np.int64)
-        self.trackers = [
-            OccupancyTracker(node.name, pipeline.vector_width)
-            for node in pipeline.nodes
-        ]
+        self.trackers = [OccupancyTracker(name, vector_width) for name in names]
         self.ledger = LatencyLedger(deadline, keep_samples=keep_latency_samples)
         self.collector = (
-            TelemetryCollector(
-                [node.name for node in pipeline.nodes], pipeline.vector_width
-            )
-            if telemetry
-            else None
+            TelemetryCollector(names, vector_width) if telemetry else None
         )
 
         if timing == "idealized":
@@ -284,17 +366,31 @@ class EnforcedWaitsSimulator:
 
         # Hot-path per-node state, hoisted out of _fire/_complete: plain
         # Python floats (numpy scalar indexing per event is measurably
-        # slower), the gain objects, pre-seeded RNG streams (stream
-        # identity depends only on (seed, name), so creation order is
-        # irrelevant), and reusable firing closures.
-        self._service_f = [float(node.service_time) for node in pipeline.nodes]
+        # slower), pre-seeded RNG streams (stream identity depends only
+        # on (seed, name), so creation order is irrelevant), and reusable
+        # firing closures.  The fast path replays ``_channels`` itself;
+        # the event loop reads ``_routes``, whose rng is None on a
+        # pass-through channel (its ids are forwarded unsampled).
+        self._names = names
+        self._channels = channels
+        self._routes = [
+            [
+                (
+                    dst,
+                    gain,
+                    None if is_passthrough(gain) else self.rng.stream(stream),
+                    sink,
+                )
+                for dst, gain, stream, sink in chans
+            ]
+            for chans in channels
+        ]
+        self._service_f = service_times
         self._waits_f = [float(w) for w in waits]
-        self._gain_of = [node.gain for node in pipeline.nodes]
-        self._rng_of = [self.rng.stream(f"node{i}.gain") for i in range(n)]
-        self._passthrough = [is_passthrough(g) for g in self._gain_of]
         self._fire_fns = [partial(self._fire, i) for i in range(n)]
-        self._v = int(pipeline.vector_width)
+        self._v = int(vector_width)
         self._n_nodes = n
+        self._prio_fire = n
 
     def _make_slack_fn(self, i: int):
         """Remaining-slack estimator for node ``i``'s queue (deadline-aware).
@@ -323,14 +419,22 @@ class EnforcedWaitsSimulator:
         if self.collector is not None:
             self.collector.on_shed(i, now, k, len(self.queues[i]))
         if self.trace is not None:
-            self.trace.record(
-                now, "shed", self.pipeline.nodes[i].name, dropped=k
-            )
+            self.trace.record(now, "shed", self._names[i], dropped=k)
         self._maybe_shutdown()
 
     def _wait_after(self, i: int) -> float:
-        """Enforced wait for node ``i``'s next firing (watchdog-scaled)."""
-        if self._watchdog is not None and self._watchdog.degraded:
+        """Enforced wait for node ``i``'s next firing (watchdog-scaled).
+
+        The watchdog zeroes waits only while items remain: once the
+        stream has drained no exit can restore them, and under GPS
+        timing back-to-back empty firings would keep a firing active
+        forever, so the run could never shut down.
+        """
+        if (
+            self._watchdog is not None
+            and self._watchdog.degraded
+            and not (self._arrivals_done and self._in_flight == 0)
+        ):
             return 0.0
         return self._waits_f[i]
 
@@ -399,7 +503,7 @@ class EnforcedWaitsSimulator:
             if release > now:
                 # Stalled: defer this firing to the stall's end.
                 self.engine.schedule(
-                    release, self._fire_fns[i], priority=_PRIO_FIRE
+                    release, self._fire_fns[i], priority=self._prio_fire
                 )
                 return
         if i == 0:
@@ -412,7 +516,7 @@ class EnforcedWaitsSimulator:
         if self.collector is not None:
             self.collector.on_fire(i, now, int(consumed), len(self.queues[i]))
         if self.trace is not None:
-            self.trace.record(now, "fire", self.pipeline.nodes[i].name,
+            self.trace.record(now, "fire", self._names[i],
                               consumed=int(consumed))
 
         if self._timing.static:
@@ -420,7 +524,7 @@ class EnforcedWaitsSimulator:
                 self.engine.schedule(
                     now + t_i,
                     partial(self._complete, i, ids, now),
-                    priority=_PRIO_COMPLETE,
+                    priority=i,
                 )
             else:
                 # An empty firing's completion mutates no queue, so its
@@ -446,7 +550,7 @@ class EnforcedWaitsSimulator:
                 self.engine.schedule(
                     done + self._wait_after(i),
                     self._fire_fns[i],
-                    priority=_PRIO_FIRE,
+                    priority=self._prio_fire,
                 )
         else:
             self._drain_gps(now)
@@ -467,43 +571,55 @@ class EnforcedWaitsSimulator:
         if self.collector is not None:
             self.collector.on_complete(i, now, now - start)
         if consumed:
-            if self._passthrough[i]:
-                outputs = ids
-            else:
-                counts = self._gain_of[i].sample(self._rng_of[i], consumed)
-                outputs = np.repeat(ids, counts)
-            if i + 1 < self._n_nodes:
-                dropped = self.queues[i + 1].push_many(outputs, now=now)
-                self._in_flight += int(outputs.size) - int(consumed)
+            # The consumed items leave the count before their exits are
+            # observed, and sheds wait until every channel's push counts,
+            # so no shed can see a partial in-flight total.
+            self._in_flight -= consumed
+            produced = 0
+            sheds = []
+            for dst, gain, rng, sink in self._routes[i]:
+                if rng is None:
+                    outputs = ids
+                else:
+                    outputs = np.repeat(ids, gain.sample(rng, consumed))
+                produced += outputs.size
+                if dst is None:
+                    self._exit(outputs, now, sink)
+                    continue
+                q = self.queues[dst]
+                dropped = q.push_many(outputs, now=now)
+                self._in_flight += outputs.size
                 if self.collector is not None:
-                    self.collector.on_enqueue(
-                        i + 1, now, int(outputs.size), len(self.queues[i + 1])
-                    )
+                    self.collector.on_enqueue(dst, now, outputs.size, len(q))
                 if dropped is not None and dropped.size:
-                    self._on_shed(i + 1, dropped, now)
-            else:
-                self.ledger.record_exits(self._times[outputs], now, ids=outputs)
-                self._in_flight -= int(consumed)
-                if self._watchdog is not None:
-                    slack = (
-                        float(self._times[outputs].min())
-                        + self.deadline
-                        - now
-                    )
-                    self._watchdog.observe_exit(now, slack, self._in_flight)
+                    sheds.append((dst, dropped))
+            for dst, dropped in sheds:
+                self._on_shed(dst, dropped, now)
             if self.trace is not None:
                 self.trace.record(
-                    now, "complete", self.pipeline.nodes[i].name,
-                    consumed=int(consumed), produced=int(outputs.size),
+                    now, "complete", self._names[i],
+                    consumed=int(consumed), produced=int(produced),
                 )
         # Next firing after the enforced wait.
         if not self._shutdown:
             self.engine.schedule(
                 now + self._wait_after(i),
                 self._fire_fns[i],
-                priority=_PRIO_FIRE,
+                priority=self._prio_fire,
             )
         self._maybe_shutdown()
+
+    def _exit(
+        self, outputs: np.ndarray, now: float, sink: LatencyLedger | None
+    ) -> None:
+        """Score a completion's outputs leaving the pipeline at ``now``."""
+        origins = self._times[outputs]
+        self.ledger.record_exits(origins, now, ids=outputs)
+        if sink is not None:
+            sink.record_exits(origins, now, ids=outputs)
+        if self._watchdog is not None:
+            slack = float(origins.min()) + self.deadline - now
+            self._watchdog.observe_exit(now, slack, self._in_flight)
 
     # -- GPS plumbing ----------------------------------------------------------
 
@@ -528,42 +644,33 @@ class EnforcedWaitsSimulator:
         if nxt is not None:
             t_next = max(nxt[0], now)
             self._gps_event = self.engine.schedule(
-                t_next, self._on_gps_event, priority=_PRIO_COMPLETE
+                t_next, self._on_gps_event, priority=_PRIO_GPS
             )
 
     # -- run ---------------------------------------------------------------------
 
     def run(self) -> SimMetrics:
         """Execute the simulation and return its metrics (single use)."""
-        if self._ran:
-            raise SimulationError("simulator instances are single-use")
-        self._ran = True
+        return self._run(run_enforced_fast)
 
-        self._times = self.arrivals.generate(
-            self.n_items, self.rng.stream("arrivals")
-        )
-        if self._faults is not None:
-            # Arrival bursts remap the same seed-determined stream; the
-            # RNG draw above is identical with or without faults.
-            self._times = self._faults.transform_arrivals(self._times)
-        # Closed-form fast path (array computation, no event loop):
-        # eligible only for plain idealized-timing runs, and bit-identical
-        # to the event loop when taken (see repro.sim.fastpath).  Returns
-        # None to fall back — e.g. under REPRO_BACKEND=python.
-        hwm_items = run_enforced_fast(self, self._times)
+    def _run(self, fast) -> SimMetrics:
+        """Body of :meth:`run`, shared with the DAG subclass.
+
+        ``fast`` is the closed-form replay, passed from the calling
+        module's global so each class's run can be traced on its own.
+        It is eligible only for plain idealized-timing runs, bit-identical
+        to the event loop when taken (see :mod:`repro.sim.fastpath`), and
+        returns None to fall back — e.g. under ``REPRO_BACKEND=python``.
+        """
+        self._generate_arrivals()
+        hwm_items = fast(self, self._times)
         if hwm_items is None:
             # No per-arrival events: the head node's firings drain the
             # arrival array lazily (see module docstring).  Firings
             # self-perpetuate until shutdown, so the drain always happens.
             self._schedule_initial_firings()
-
             self.engine.run(max_events=self.max_events)
-
-            self._check_drained()
-            hwm_items = np.asarray(
-                [q.max_depth for q in self.queues], dtype=float
-            )
-
+            return self.finalize()
         return self._collect(hwm_items)
 
     # -- co-simulation (shared engine) --------------------------------------
@@ -578,14 +685,7 @@ class EnforcedWaitsSimulator:
         closed-form fast path is intentionally skipped — co-scheduled
         runs need the explicit event loop.  Single use, like :meth:`run`.
         """
-        if self._ran:
-            raise SimulationError("simulator instances are single-use")
-        self._ran = True
-        self._times = self.arrivals.generate(
-            self.n_items, self.rng.stream("arrivals")
-        )
-        if self._faults is not None:
-            self._times = self._faults.transform_arrivals(self._times)
+        self._generate_arrivals()
         self._schedule_initial_firings()
 
     def finalize(self) -> SimMetrics:
@@ -598,12 +698,22 @@ class EnforcedWaitsSimulator:
         )
         return self._collect(hwm_items)
 
+    def _generate_arrivals(self) -> None:
+        if self._ran:
+            raise SimulationError("simulator instances are single-use")
+        self._ran = True
+        self._times = self.arrivals.generate(
+            self.n_items, self.rng.stream("arrivals")
+        )
+        if self._faults is not None:
+            # Arrival bursts remap the same seed-determined stream; the
+            # RNG draw above is identical with or without faults.
+            self._times = self._faults.transform_arrivals(self._times)
+
     def _schedule_initial_firings(self) -> None:
-        for i in range(self.pipeline.n_nodes):
+        for i, fire in enumerate(self._fire_fns):
             self.engine.schedule(
-                float(self.start_offsets[i]),
-                lambda i=i: self._fire(i),
-                priority=_PRIO_FIRE,
+                float(self.start_offsets[i]), fire, priority=self._prio_fire
             )
 
     def _check_drained(self) -> None:
@@ -617,10 +727,8 @@ class EnforcedWaitsSimulator:
         makespan = max(self._last_activity, float(self._times[-1]))
         if makespan <= 0:
             makespan = float("nan")
-        n = self.pipeline.n_nodes
-        v = self.pipeline.vector_width
-        af = float(np.sum(self._active_time)) / (n * makespan)
-        hwm = hwm_items / v
+        af = float(np.sum(self._active_time)) / (self._n_nodes * makespan)
+        hwm = hwm_items / self._v
         extra = {
             "timing": self._timing_name,
             "charge_empty": self.charge_empty,

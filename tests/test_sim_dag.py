@@ -63,6 +63,17 @@ def _diamond() -> DataflowGraph:
     return g
 
 
+def _two_sinks() -> DataflowGraph:
+    """Fan-out from the source straight to two sinks."""
+    g = DataflowGraph(8)
+    g.add_node(NodeSpec("s", 1.0, DeterministicGain(1)))
+    g.add_node(NodeSpec("u", 0.5, DeterministicGain(1)))
+    g.add_node(NodeSpec("w", 0.5, DeterministicGain(1)))
+    g.add_edge("s", "u", BernoulliGain(0.5))
+    g.add_edge("s", "w", BernoulliGain(0.5))
+    return g
+
+
 def _assert_metrics_equal(m1, m2) -> None:
     import math
 
@@ -124,22 +135,66 @@ class TestChainEquivalence:
         assert sink.missed_items == m.missed_items
 
 
+_DIAMOND_WAITS = [8.0, 14.0, 22.0, 8.0]
+_TWO_SINK_WAITS = [4.0, 4.0, 4.0]
+
+
 class TestDiamond:
-    def test_fastpath_matches_event_loop(self):
-        waits = np.asarray([8.0, 14.0, 22.0, 8.0])
+    @pytest.mark.parametrize(
+        "graph, waits, arrivals, deadline, n_items, seed, extra",
+        [
+            pytest.param(
+                _diamond, _DIAMOND_WAITS, FixedRateArrivals(9.6), 300.0,
+                2000, 3, {}, id="diamond-fixed-3",
+            ),
+            pytest.param(
+                _diamond, _DIAMOND_WAITS, PoissonArrivals(9.6), 300.0,
+                2000, 0, {}, id="diamond-poisson-0",
+            ),
+            pytest.param(
+                _diamond, _DIAMOND_WAITS, PoissonArrivals(9.6), 300.0,
+                2000, 11, {}, id="diamond-poisson-11",
+            ),
+            pytest.param(
+                _diamond, _DIAMOND_WAITS, PoissonArrivals(9.6), 300.0,
+                2000, 5, {"charge_empty_firings": False},
+                id="diamond-vacations",
+            ),
+            pytest.param(
+                _diamond, _DIAMOND_WAITS, FixedRateArrivals(9.6), 300.0,
+                2000, 2,
+                {"start_offsets": np.asarray([0.0, 2.5, 5.0, 7.5])},
+                id="diamond-staggered",
+            ),
+            pytest.param(
+                _two_sinks, _TWO_SINK_WAITS, FixedRateArrivals(1.0), 100.0,
+                1000, 0, {}, id="two-sinks-fixed-0",
+            ),
+            pytest.param(
+                _two_sinks, _TWO_SINK_WAITS, PoissonArrivals(1.0), 100.0,
+                1000, 4, {"start_offsets": np.asarray([0.0, 1.5, 3.0])},
+                id="two-sinks-poisson-staggered",
+            ),
+        ],
+    )
+    def test_fastpath_matches_event_loop(
+        self, graph, waits, arrivals, deadline, n_items, seed, extra
+    ):
         kw = dict(
-            arrivals=FixedRateArrivals(9.6),
-            deadline=300.0,
-            n_items=2000,
-            seed=3,
+            arrivals=arrivals,
+            deadline=deadline,
+            n_items=n_items,
+            seed=seed,
+            **extra,
         )
+        waits = np.asarray(waits)
         with use_backend("vector") as be:
             assert be.fastpath
-            s1 = DagEnforcedWaitsSimulator(_diamond(), waits, **kw)
+            s1 = DagEnforcedWaitsSimulator(graph(), waits, **kw)
             m1 = s1.run()
             assert s1.engine.events_processed == 0
         with use_backend("python"):
-            s2 = DagEnforcedWaitsSimulator(_diamond(), waits, **kw)
+            s2 = DagEnforcedWaitsSimulator(graph(), waits, **kw)
             m2 = s2.run()
             assert s2.engine.events_processed > 0
         _assert_metrics_equal(m1, m2)
@@ -150,6 +205,12 @@ class TestDiamond:
             assert a.missed_items == b.missed_items
             if a.outputs:
                 assert a.latency.mean == b.latency.mean
+        # The fast path mirrors the event loop's queue statistics,
+        # including fan-in queues fed by several predecessors.
+        for qa, qb in zip(s1.queues, s2.queues):
+            assert qa.max_depth == qb.max_depth, qa.name
+            assert qa.total_pushed == qb.total_pushed, qa.name
+            assert qa.total_popped == qb.total_popped, qa.name
 
     def test_planned_point_runs_clean(self):
         """Solve the diamond, then simulate at the planned waits: the
@@ -189,15 +250,9 @@ class TestDiamond:
     def test_multi_sink_ledgers(self):
         """Fan-out to two sinks: each gets its own ledger; the global
         ledger scores every exit."""
-        g = DataflowGraph(8)
-        g.add_node(NodeSpec("s", 1.0, DeterministicGain(1)))
-        g.add_node(NodeSpec("u", 0.5, DeterministicGain(1)))
-        g.add_node(NodeSpec("w", 0.5, DeterministicGain(1)))
-        g.add_edge("s", "u", BernoulliGain(0.5))
-        g.add_edge("s", "w", BernoulliGain(0.5))
         sim = DagEnforcedWaitsSimulator(
-            g,
-            np.asarray([4.0, 4.0, 4.0]),
+            _two_sinks(),
+            np.asarray(_TWO_SINK_WAITS),
             arrivals=FixedRateArrivals(1.0),
             deadline=100.0,
             n_items=1000,

@@ -7,8 +7,15 @@ import pytest
 
 from repro.arrivals.fixed import FixedRateArrivals
 from repro.arrivals.trace import TraceArrivals
+from repro.dataflow.gains import (
+    BernoulliGain,
+    CensoredPoissonGain,
+    DeterministicGain,
+)
+from repro.dataflow.spec import NodeSpec, PipelineSpec
 from repro.des.trace import TraceRecorder
 from repro.errors import SimulationError, SpecError
+from repro.resilience.watchdog import DeadlineWatchdog
 from repro.sim.enforced import EnforcedWaitsSimulator
 
 
@@ -180,6 +187,35 @@ class TestTimingModels:
         # Work-conserving sharing only speeds firings up.
         assert gps.active_fraction <= ideal.active_fraction + 1e-9
         assert gps.max_latency <= ideal.max_latency + 1e-9
+
+    def test_gps_watchdog_run_shuts_down_while_degraded(self):
+        """A GPS run that drains while the watchdog is degraded must
+        still shut down: with no exits left nothing restores the waits,
+        and zeroed waits would keep an empty GPS firing active forever."""
+        pipeline = PipelineSpec(
+            nodes=(
+                NodeSpec("a", 1.0, CensoredPoissonGain(1.2, 4)),
+                NodeSpec("b", 1.0, BernoulliGain(0.8)),
+                NodeSpec("c", 1.0, DeterministicGain(2)),
+            ),
+            vector_width=1,
+        )
+        sim = EnforcedWaitsSimulator(
+            pipeline,
+            np.asarray([3.0, 1.0, 0.0]),
+            FixedRateArrivals(0.5),
+            20.0,
+            400,
+            timing="gps",
+            watchdog=DeadlineWatchdog(20.0),
+            max_events=200_000,
+        )
+        m = sim.run()
+        res = m.extra["resilience"]
+        assert res["degradations"] >= 1
+        assert res["degraded_intervals"][-1][1] == m.makespan
+        assert sim._in_flight == 0 and not sim._inflight_firings
+        assert m.outputs > 0
 
     def test_unknown_timing_rejected(self, blast):
         with pytest.raises(SpecError):
