@@ -17,8 +17,6 @@ Key pieces:
 - :class:`~repro.dataflow.graph.DataflowGraph` — general DAG topology
   support (the paper's pipelines are linear chains; the optimizers require
   linearity and :meth:`DataflowGraph.as_chain` checks it).
-- :mod:`~repro.dataflow.firing` — the vector firing rule shared by the
-  simulators.
 """
 
 from repro.dataflow.gains import (
@@ -33,7 +31,6 @@ from repro.dataflow.gains import (
 from repro.dataflow.queues import ItemQueue
 from repro.dataflow.spec import NodeSpec, PipelineSpec
 from repro.dataflow.graph import DataflowGraph
-from repro.dataflow.firing import FiringResult, fire_vector
 
 __all__ = [
     "GainDistribution",
@@ -47,6 +44,4 @@ __all__ = [
     "NodeSpec",
     "PipelineSpec",
     "DataflowGraph",
-    "FiringResult",
-    "fire_vector",
 ]

@@ -5,7 +5,6 @@ A small, dependency-free event-driven simulation engine:
 - :class:`~repro.des.engine.Engine` — the virtual clock and event loop.
 - :class:`~repro.des.events.Event` — a scheduled callback with priority
   (also its own cancel handle).
-- :class:`~repro.des.process.Process` — a periodic/stateful actor helper.
 - :class:`~repro.des.rng.RngRegistry` — named, reproducible random streams.
 - :mod:`~repro.des.monitors` — time-series and counter statistics.
 - :mod:`~repro.des.trace` — optional structured execution traces.
@@ -16,7 +15,6 @@ The engine is deliberately minimal: the pipeline simulators in
 
 from repro.des.engine import Engine
 from repro.des.events import Event
-from repro.des.process import PeriodicProcess, Process
 from repro.des.rng import RngRegistry
 from repro.des.monitors import Accumulator, Counter, TimeWeighted
 from repro.des.trace import TraceRecorder, TraceRecord
@@ -24,8 +22,6 @@ from repro.des.trace import TraceRecorder, TraceRecord
 __all__ = [
     "Engine",
     "Event",
-    "Process",
-    "PeriodicProcess",
     "RngRegistry",
     "Accumulator",
     "Counter",

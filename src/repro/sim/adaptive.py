@@ -18,8 +18,17 @@ information says waiting longer cannot help:
   safety factor.  This trades occupancy for deadline safety exactly where
   it is needed.
 
-The fixed-wait behaviour of :class:`~repro.sim.enforced.EnforcedWaitsSimulator`
-is the ``"fixed"`` policy baseline; ablation A4 compares all three.
+The simulator rides the shared enforced-waits loop:
+:class:`AdaptiveWaitsSimulator` subclasses
+:class:`~repro.sim.enforced.EnforcedWaitsSimulator` and inherits its
+argument checks, queues and shedding, watchdog wait rule, arrival
+delivery, routing, exit scoring, shutdown and metrics.  It adds only the
+early-fire triggers, the target-arrival scheduling below, and per-node
+busy flags: a firing's completion is never elided, even when empty,
+because a busy node must not fire early.  The run shuts down once the
+arrivals are done and nothing is in flight, and lane occupancy is
+``items / (firings * v)``, exactly as in the enforced simulator; the
+``"fixed"`` policy (the ablation A4 baseline) is bit-identical to it.
 
 Arrival scheduling
 ------------------
@@ -50,48 +59,41 @@ Telemetry observations of chunked arrivals are replayed with their
 original timestamps.  The result is bit-identical to the per-item
 reference (:class:`~repro.sim.reference.ReferenceAdaptiveSimulator`).
 
-Items are identified by integer ids (their index in the arrival stream)
-carried through the queues; origins are looked up by id at the tail, so
-tied arrival timestamps cannot be conflated in miss accounting.
-
 The degraded-mode runtime kwargs (``runtime_faults``, ``queue_capacity``
-+ ``shed_policy``, ``watchdog``) work exactly as on
-:class:`~repro.sim.enforced.EnforcedWaitsSimulator`; disabled (the
-default) they leave the simulation bit-identical to the reference.
++ ``shed_policy``, ``watchdog``) are those of the enforced simulator;
+see :mod:`repro.sim.enforced`.
 """
 
 from __future__ import annotations
 
-import math
+from functools import partial
 
 import numpy as np
 
 from repro.arrivals.base import ArrivalProcess
-from repro.dataflow.gains import is_passthrough
-from repro.dataflow.queues import ItemQueue
 from repro.dataflow.spec import PipelineSpec
-from repro.des.engine import Engine
 from repro.des.events import Event
-from repro.des.rng import RngRegistry
-from repro.errors import SimulationError, SpecError
-from repro.obs.telemetry import TelemetryCollector
+from repro.errors import SpecError
 from repro.resilience.faults import RuntimeFaultPlan
-from repro.resilience.shedding import make_shed_policy
 from repro.resilience.watchdog import DeadlineWatchdog
-from repro.sim.metrics import LatencyLedger, SimMetrics
+from repro.sim.enforced import EnforcedWaitsSimulator
+from repro.sim.metrics import SimMetrics
 
 __all__ = ["AdaptiveWaitsSimulator"]
 
+# Every completion ranks alike (ties resolve in scheduling order), as in
+# the per-item reference: with early firing, the order of same-time
+# completions on adjacent nodes decides which queue state a trigger sees.
 _PRIO_ARRIVAL = -1
 _PRIO_COMPLETE = 0
 _PRIO_FIRE = 1
 
 
-class AdaptiveWaitsSimulator:
+class AdaptiveWaitsSimulator(EnforcedWaitsSimulator):
     """Enforced waits with optional early-firing triggers.
 
     Parameters mirror :class:`~repro.sim.enforced.EnforcedWaitsSimulator`
-    (idealized timing only), plus:
+    (idealized timing only, first firings at time 0), plus:
 
     policy:
         ``"fixed"``, ``"full-vector"``, or ``"slack"``.
@@ -99,22 +101,6 @@ class AdaptiveWaitsSimulator:
         For ``"slack"``: fire early when the head item's remaining time
         budget is below ``slack_factor`` times the estimated downstream
         traversal time (one period per remaining stage).
-    telemetry:
-        When True, attach a :class:`~repro.obs.telemetry.RunTelemetry`
-        as ``metrics.extra["telemetry"]``.
-    runtime_faults:
-        Optional :class:`~repro.resilience.faults.RuntimeFaultPlan`
-        injecting service spikes, node stalls, and arrival bursts.
-    queue_capacity:
-        Optional bound on every inter-node queue.  Without a
-        ``shed_policy`` an overflow raises
-        :class:`~repro.errors.SimulationError`.
-    shed_policy:
-        ``None`` (default), ``"drop-newest"``, ``"drop-oldest"``, or
-        ``"deadline-aware"``; requires ``queue_capacity``.
-    watchdog:
-        Optional :class:`~repro.resilience.watchdog.DeadlineWatchdog`;
-        while degraded, enforced waits are scaled to zero.
     """
 
     def __init__(
@@ -136,13 +122,6 @@ class AdaptiveWaitsSimulator:
         shed_policy: str | None = None,
         watchdog: DeadlineWatchdog | None = None,
     ) -> None:
-        waits = np.asarray(waits, dtype=float)
-        if waits.shape != (pipeline.n_nodes,):
-            raise SpecError(
-                f"waits must have length {pipeline.n_nodes}, got {waits.shape}"
-            )
-        if (waits < 0).any():
-            raise SpecError("waits must be >= 0")
         if policy not in ("fixed", "full-vector", "slack"):
             raise SpecError(
                 f"policy must be 'fixed', 'full-vector', or 'slack', "
@@ -150,70 +129,27 @@ class AdaptiveWaitsSimulator:
             )
         if slack_factor <= 0:
             raise SpecError(f"slack_factor must be > 0, got {slack_factor}")
-        if n_items < 1 or deadline <= 0:
-            raise SpecError("need n_items >= 1 and deadline > 0")
-
-        self.pipeline = pipeline
-        self.waits = waits
-        self.arrivals = arrivals
-        self.deadline = float(deadline)
-        self.n_items = int(n_items)
+        super().__init__(
+            pipeline,
+            waits,
+            arrivals,
+            deadline,
+            n_items,
+            seed=seed,
+            charge_empty_firings=charge_empty_firings,
+            telemetry=telemetry,
+            max_events=max_events,
+            runtime_faults=runtime_faults,
+            queue_capacity=queue_capacity,
+            shed_policy=shed_policy,
+            watchdog=watchdog,
+        )
         self.policy = policy
         self.slack_factor = float(slack_factor)
-        self.charge_empty = bool(charge_empty_firings)
-        self.max_events = max_events
-
-        if shed_policy is not None and queue_capacity is None:
-            raise SpecError("shed_policy requires queue_capacity")
-        self._faults = (
-            None
-            if runtime_faults is None or runtime_faults.empty
-            else runtime_faults
-        )
-        self._watchdog = watchdog
-
-        self.rng = RngRegistry(seed)
-        self.engine = Engine()
-        n = pipeline.n_nodes
-        # Minimum downstream service from node i (inclusive) to the tail:
-        # the deadline-aware shed policy's traversal estimate.
-        service = pipeline.service_times
-        self._downstream_service = np.asarray(
-            [float(service[i:].sum()) for i in range(n)]
-        )
-        self.queues = [
-            ItemQueue(
-                f"q{i}",
-                dtype=np.int64,
-                capacity=queue_capacity,
-                on_overflow=(
-                    "raise"
-                    if shed_policy is None
-                    else make_shed_policy(
-                        shed_policy, slack_of=self._make_slack_fn(i)
-                    )
-                ),
-            )
-            for i in range(n)
-        ]
-        self._shed_counts = np.zeros(n, dtype=np.int64)
-        self.ledger = LatencyLedger(deadline)
-        self.collector = (
-            TelemetryCollector(
-                [node.name for node in pipeline.nodes], pipeline.vector_width
-            )
-            if telemetry
-            else None
-        )
-        self._active_time = np.zeros(n)
-        self._firings = np.zeros(n, dtype=np.int64)
-        self._empty_firings = np.zeros(n, dtype=np.int64)
+        n = self._n_nodes
         self._early_firings = np.zeros(n, dtype=np.int64)
-        self._items_consumed = np.zeros(n, dtype=np.int64)
         self._busy = [False] * n
         self._pending_fire: list[Event | None] = [None] * n
-        self._times: np.ndarray | None = None  # arrival times, set by run()
-        self._cursor = 0  # first not-yet-enqueued arrival index
         # The pending arrival-side event: the target arrival's delivery or
         # a busy-window drain (see the module docstring).
         self._next_arrival: Event | None = None
@@ -226,52 +162,12 @@ class AdaptiveWaitsSimulator:
             and watchdog is None
             and queue_capacity is None
         )
-        self._v = int(pipeline.vector_width)
-        self._passthrough = [
-            is_passthrough(node.gain) for node in pipeline.nodes
-        ]
-        self._arrivals_done = False
-        self._in_flight = 0
-        self._shutdown = False
-        self._last_activity = 0.0
-        self._ran = False
         # Downstream traversal estimate for the slack policy: one full
         # period per stage from this node (inclusive) to the tail.
-        periods = pipeline.service_times + waits
+        periods = pipeline.service_times + self.waits
         self._downstream_time = np.asarray(
             [float(periods[i:].sum()) for i in range(n)]
         )
-
-    # -- resilience plumbing -------------------------------------------------
-
-    def _make_slack_fn(self, i: int):
-        """Deadline-aware shedding slack for node ``i``'s queue."""
-
-        def slack_of(ids: np.ndarray, now: float) -> np.ndarray:
-            return (
-                self._times[ids]
-                + self.deadline
-                - now
-                - self._downstream_service[i]
-            )
-
-        return slack_of
-
-    def _on_shed(self, i: int, dropped: np.ndarray, now: float) -> None:
-        """Account tokens shed from node ``i``'s queue as deadline misses."""
-        k = int(dropped.size)
-        self._in_flight -= k
-        self._shed_counts[i] += k
-        self.ledger.record_drops(ids=dropped)
-        if self.collector is not None:
-            self.collector.on_shed(i, now, k, len(self.queues[i]))
-        self._maybe_shutdown()
-
-    def _wait_after(self, i: int) -> float:
-        """Enforced wait for node ``i``'s next firing (watchdog-scaled)."""
-        if self._watchdog is not None and self._watchdog.degraded:
-            return 0.0
-        return self.waits[i]
 
     # -- early-fire triggers -------------------------------------------------
 
@@ -292,7 +188,7 @@ class AdaptiveWaitsSimulator:
             return False
         if self.policy == "fixed":
             return False
-        if qlen >= self.pipeline.vector_width:
+        if qlen >= self._v:
             return True
         if self.policy == "slack":
             head_id = self.queues[i].peek_oldest()
@@ -309,7 +205,7 @@ class AdaptiveWaitsSimulator:
             self._early_firings[i] += 1
             self._fire(i, early=True)
 
-    # -- event handlers --------------------------------------------------------
+    # -- arrival scheduling --------------------------------------------------
 
     def _arrival_target(self) -> int:
         """Index of the next arrival whose delivery can change the run."""
@@ -335,38 +231,6 @@ class AdaptiveWaitsSimulator:
             float(self._times[target]), self._arrive, priority=_PRIO_ARRIVAL
         )
 
-    def _deliver(self, j: int) -> None:
-        """Enqueue arrivals ``cursor .. j-1`` at node 0 in one chunk.
-
-        Telemetry is replayed per item with the original arrival
-        timestamps, so observers see what per-item delivery would show.
-        """
-        c = self._cursor
-        if j <= c:
-            return
-        now = self.engine.now
-        times = self._times
-        q0 = self.queues[0]
-        dropped = q0.push_many(np.arange(c, j, dtype=np.int64), now=now)
-        self._in_flight += j - c
-        self._cursor = j
-        if self.collector is not None:
-            if dropped is None:
-                on_enqueue = self.collector.on_enqueue
-                qlen = len(q0) - (j - c)
-                for k in range(c, j):
-                    qlen += 1
-                    on_enqueue(0, float(times[k]), 1, qlen)
-            else:
-                # Shedding reshuffled the queue; per-item depth replay no
-                # longer reconstructs, so record the chunk as one
-                # observation.
-                self.collector.on_enqueue(0, now, j - c, len(q0))
-        if dropped is not None and dropped.size:
-            self._on_shed(0, dropped, now)
-        if j >= self.n_items:
-            self._arrivals_done = True
-
     def _arrive(self) -> None:
         """Deliver arrivals through the target, then check the trigger."""
         self._next_arrival = None
@@ -386,21 +250,10 @@ class AdaptiveWaitsSimulator:
         identical.
         """
         self._next_arrival = None
-        now = self.engine.now
-        self._deliver(int(np.searchsorted(self._times, now, side="right")))
+        self._drain_arrivals(self.engine.now)
         self._arm_arrival()
 
-    def _maybe_shutdown(self) -> None:
-        if (
-            self._arrivals_done
-            and self._in_flight == 0
-            and not any(self._busy)
-            and not self._shutdown
-        ):
-            self._shutdown = True
-            for handle in self._pending_fire:
-                if handle is not None:
-                    handle.cancel()
+    # -- event handlers --------------------------------------------------------
 
     def _fire(self, i: int, early: bool = False) -> None:
         if self._shutdown or self._busy[i]:
@@ -413,22 +266,20 @@ class AdaptiveWaitsSimulator:
                 if self._pending_fire[i] is not None:
                     self._pending_fire[i].cancel()
                 self._pending_fire[i] = self.engine.schedule(
-                    release, lambda i=i: self._fire(i), priority=_PRIO_FIRE
+                    release, self._fire_fns[i], priority=_PRIO_FIRE
                 )
                 return
         if i == 0 and self._skip_arrivals and not early:
             # A scheduled head firing observes every arrival up to now.
-            self._deliver(int(np.searchsorted(self._times, now, side="right")))
+            self._drain_arrivals(now)
         self._pending_fire[i] = None
         self._busy[i] = True
         ids = self.queues[i].pop_up_to(self._v)
-        t_i = self.pipeline.nodes[i].service_time
+        t_i = self._service_f[i]
         if self._faults is not None:
-            t_i = t_i * self._faults.service_factor(i, now)
+            t_i *= self._faults.service_factor(i, now)
         if self.collector is not None:
-            self.collector.on_fire(
-                i, now, int(ids.size), len(self.queues[i])
-            )
+            self.collector.on_fire(i, now, int(ids.size), len(self.queues[i]))
         done = now + t_i
         if i == 0 and self._cursor < self.n_items:
             if float(self._times[self._cursor]) <= done:
@@ -442,58 +293,21 @@ class AdaptiveWaitsSimulator:
                 )
             else:
                 self._arm_arrival()
+        # Even an empty firing keeps its completion event: until then the
+        # node is busy and no trigger may fire it.
         self.engine.schedule(
-            done,
-            lambda i=i, o=ids, s=now: self._complete(i, o, s),
-            priority=_PRIO_COMPLETE,
+            done, partial(self._complete, i, ids, now), priority=_PRIO_COMPLETE
         )
 
     def _complete(self, i: int, ids: np.ndarray, start: float) -> None:
         now = self.engine.now
         self._busy[i] = False
-        self._last_activity = max(self._last_activity, now)
-        consumed = int(ids.size)
-        charge = (
-            (now - start) if (consumed > 0 or self.charge_empty) else 0.0
-        )
-        self._active_time[i] += charge
-        self._firings[i] += 1
-        if consumed == 0:
-            self._empty_firings[i] += 1
-        self._items_consumed[i] += consumed
-        if self.collector is not None:
-            self.collector.on_complete(i, now, now - start)
-        if consumed:
-            if self._passthrough[i]:
-                outputs = ids
-            else:
-                gain = self.pipeline.nodes[i].gain
-                rng = self.rng.stream(f"node{i}.gain")
-                outputs = np.repeat(ids, gain.sample(rng, consumed))
-            if i + 1 < self.pipeline.n_nodes:
-                dropped = self.queues[i + 1].push_many(outputs, now=now)
-                self._in_flight += int(outputs.size) - consumed
-                if self.collector is not None:
-                    self.collector.on_enqueue(
-                        i + 1, now, int(outputs.size), len(self.queues[i + 1])
-                    )
-                if dropped is not None and dropped.size:
-                    self._on_shed(i + 1, dropped, now)
-                self._consider_early_fire(i + 1)
-            else:
-                self.ledger.record_exits(self._times[outputs], now, ids=outputs)
-                self._in_flight -= consumed
-                if self._watchdog is not None:
-                    slack = (
-                        float(self._times[outputs].min())
-                        + self.deadline
-                        - now
-                    )
-                    self._watchdog.observe_exit(now, slack, self._in_flight)
+        self._route(i, ids, start, now)
+        if ids.size and i + 1 < self._n_nodes:
+            self._consider_early_fire(i + 1)
         if not self._shutdown:
             self._pending_fire[i] = self.engine.schedule(
-                now + self._wait_after(i),
-                lambda i=i: self._fire(i),
+                now + self._wait_after(i), self._fire_fns[i],
                 priority=_PRIO_FIRE,
             )
             # The queue may already satisfy a trigger (e.g. it filled
@@ -503,94 +317,24 @@ class AdaptiveWaitsSimulator:
 
     # -- run -----------------------------------------------------------------
 
-    def run(self) -> SimMetrics:
-        """Execute the simulation and return its metrics (single use)."""
-        if self._ran:
-            raise SimulationError("simulator instances are single-use")
-        self._ran = True
-        self._times = self.arrivals.generate(
-            self.n_items, self.rng.stream("arrivals")
-        )
-        if self._faults is not None:
-            # Arrival bursts remap the same seed-determined stream; the
-            # RNG draw above is identical with or without faults.
-            self._times = self._faults.transform_arrivals(self._times)
+    def _schedule_initial_firings(self) -> None:
         self._arm_arrival()
-        for i in range(self.pipeline.n_nodes):
+        for i, fire in enumerate(self._fire_fns):
             self._pending_fire[i] = self.engine.schedule(
-                0.0, lambda i=i: self._fire(i), priority=_PRIO_FIRE
-            )
-        self.engine.run(max_events=self.max_events)
-        if self._in_flight != 0:
-            raise SimulationError(
-                f"pipeline failed to drain: {self._in_flight} in flight"
+                0.0, fire, priority=_PRIO_FIRE
             )
 
-        makespan = max(self._last_activity, float(self._times[-1]))
-        n = self.pipeline.n_nodes
-        v = self.pipeline.vector_width
-        af = float(self._active_time.sum()) / (n * makespan)
-        extra = {
-            "policy": self.policy,
-            "early_firings": self._early_firings.copy(),
-        }
-        degraded_intervals: tuple[tuple[float, float], ...] = ()
-        if self._watchdog is not None:
-            degraded_intervals = self._watchdog.finalize(makespan)
-        if (
-            self._watchdog is not None
-            or self._faults is not None
-            or self._shed_counts.any()
-        ):
-            extra["resilience"] = {
-                "shed_per_node": self._shed_counts.copy(),
-                "shed_total": int(self._shed_counts.sum()),
-                "dropped_items": self.ledger.dropped_items,
-                "degraded_intervals": degraded_intervals,
-                "degraded_time": (
-                    self._watchdog.degraded_time(makespan)
-                    if self._watchdog is not None
-                    else 0.0
-                ),
-                "degradations": (
-                    self._watchdog.degradations
-                    if self._watchdog is not None
-                    else 0
-                ),
-            }
-        if self.collector is not None:
-            extra["telemetry"] = self.collector.finalize(
-                strategy=f"adaptive:{self.policy}",
-                makespan=makespan,
-                events_processed=self.engine.events_processed,
-                wall_time=self.engine.wall_time,
-                degraded_intervals=degraded_intervals,
-            )
-        with np.errstate(invalid="ignore"):
-            occupancy = np.where(
-                self._firings > 0,
-                self._items_consumed / np.maximum(self._firings, 1) / v,
-                np.nan,
-            )
-        return SimMetrics(
-            strategy=f"adaptive:{self.policy}",
-            n_items=self.n_items,
-            makespan=makespan,
-            active_time_per_node=self._active_time.copy(),
-            active_fraction=af,
-            missed_items=self.ledger.missed_items,
-            miss_rate=self.ledger.miss_rate(self.n_items),
-            outputs=self.ledger.outputs,
-            mean_latency=self.ledger.latency.mean,
-            max_latency=self.ledger.latency.max
-            if self.ledger.outputs
-            else math.nan,
-            queue_hwm_vectors=np.asarray(
-                [q.max_depth for q in self.queues], dtype=float
-            )
-            / v,
-            firings=self._firings.copy(),
-            empty_firings=self._empty_firings.copy(),
-            mean_occupancy=occupancy,
-            extra=extra,
+    def run(self) -> SimMetrics:
+        """Execute the simulation and return its metrics (single use)."""
+        self._generate_arrivals()
+        self._schedule_initial_firings()
+        self.engine.run(max_events=self.max_events)
+        return self.finalize()
+
+    def finalize(self) -> SimMetrics:
+        """Collect metrics labelled with the policy after the engine ran."""
+        return super().finalize(
+            f"adaptive:{self.policy}",
+            policy=self.policy,
+            early_firings=self._early_firings.copy(),
         )

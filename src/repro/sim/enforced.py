@@ -444,18 +444,23 @@ class EnforcedWaitsSimulator:
         """Enqueue every arrival with timestamp <= ``now`` (chunked).
 
         Called from the head node's firing handler before it pops, i.e.
-        at the first point the arrivals become observable.  Telemetry and
-        trace observations are replayed per item with the original
-        arrival timestamps, so observers see the same statistics as under
-        per-item arrival events.
+        at the first point the arrivals become observable.
+        """
+        if self._cursor < self.n_items:
+            self._deliver(int(np.searchsorted(self._times, now, side="right")))
+
+    def _deliver(self, j: int) -> None:
+        """Enqueue arrivals ``cursor .. j-1`` at node 0 in one chunk.
+
+        Telemetry and trace observations are replayed per item with the
+        original arrival timestamps, so observers see the same statistics
+        as under per-item arrival events.
         """
         c = self._cursor
-        if c >= self.n_items:
-            return
-        times = self._times
-        j = int(np.searchsorted(times, now, side="right"))
         if j <= c:
             return
+        now = self.engine.now
+        times = self._times
         q0 = self.queues[0]
         dropped = q0.push_many(np.arange(c, j, dtype=np.int64), now=now)
         self._in_flight += j - c
@@ -560,6 +565,22 @@ class EnforcedWaitsSimulator:
 
     def _complete(self, i: int, ids: np.ndarray, start: float) -> None:
         now = self.engine.now
+        self._route(i, ids, start, now)
+        # Next firing after the enforced wait.
+        if not self._shutdown:
+            self.engine.schedule(
+                now + self._wait_after(i),
+                self._fire_fns[i],
+                priority=self._prio_fire,
+            )
+        self._maybe_shutdown()
+
+    def _route(
+        self, i: int, ids: np.ndarray, start: float, now: float
+    ) -> None:
+        """Account node ``i``'s firing completing at ``now`` and route its
+        outputs over the node's channels: the half of a completion that
+        the adaptive subclass shares."""
         self._last_activity = max(self._last_activity, now)
         consumed = ids.size
         # Charge the realized firing duration as active time (equals t_i
@@ -600,14 +621,6 @@ class EnforcedWaitsSimulator:
                     now, "complete", self._names[i],
                     consumed=int(consumed), produced=int(produced),
                 )
-        # Next firing after the enforced wait.
-        if not self._shutdown:
-            self.engine.schedule(
-                now + self._wait_after(i),
-                self._fire_fns[i],
-                priority=self._prio_fire,
-            )
-        self._maybe_shutdown()
 
     def _exit(
         self, outputs: np.ndarray, now: float, sink: LatencyLedger | None
@@ -617,7 +630,8 @@ class EnforcedWaitsSimulator:
         self.ledger.record_exits(origins, now, ids=outputs)
         if sink is not None:
             sink.record_exits(origins, now, ids=outputs)
-        if self._watchdog is not None:
+        # A firing whose gains emitted nothing has no exit to observe.
+        if self._watchdog is not None and outputs.size:
             slack = float(origins.min()) + self.deadline - now
             self._watchdog.observe_exit(now, slack, self._in_flight)
 
@@ -688,15 +702,19 @@ class EnforcedWaitsSimulator:
         self._generate_arrivals()
         self._schedule_initial_firings()
 
-    def finalize(self) -> SimMetrics:
-        """Collect metrics after a shared engine run following :meth:`prepare`."""
+    def finalize(self, strategy: str = "enforced", **extra) -> SimMetrics:
+        """Collect metrics after a shared engine run following :meth:`prepare`.
+
+        ``strategy`` labels the metrics and ``extra`` joins
+        ``metrics.extra`` (the adaptive subclass's policy fields).
+        """
         if self._times is None:
             raise SimulationError("finalize() requires prepare() first")
         self._check_drained()
         hwm_items = np.asarray(
             [q.max_depth for q in self.queues], dtype=float
         )
-        return self._collect(hwm_items)
+        return self._collect(hwm_items, strategy, **extra)
 
     def _generate_arrivals(self) -> None:
         if self._ran:
@@ -723,17 +741,19 @@ class EnforcedWaitsSimulator:
                 f"flight, {len(self._inflight_firings)} firings active"
             )
 
-    def _collect(self, hwm_items: np.ndarray) -> SimMetrics:
+    def _collect(
+        self, hwm_items: np.ndarray, strategy: str = "enforced", **extra
+    ) -> SimMetrics:
         makespan = max(self._last_activity, float(self._times[-1]))
         if makespan <= 0:
             makespan = float("nan")
         af = float(np.sum(self._active_time)) / (self._n_nodes * makespan)
         hwm = hwm_items / self._v
-        extra = {
-            "timing": self._timing_name,
-            "charge_empty": self.charge_empty,
-            "ledger": self.ledger,
-        }
+        extra.update(
+            timing=self._timing_name,
+            charge_empty=self.charge_empty,
+            ledger=self.ledger,
+        )
         degraded_intervals: tuple[tuple[float, float], ...] = ()
         if self._watchdog is not None:
             degraded_intervals = self._watchdog.finalize(makespan)
@@ -760,14 +780,14 @@ class EnforcedWaitsSimulator:
             }
         if self.collector is not None:
             extra["telemetry"] = self.collector.finalize(
-                strategy="enforced",
+                strategy=strategy,
                 makespan=makespan,
                 events_processed=self.engine.events_processed,
                 wall_time=self.engine.wall_time,
                 degraded_intervals=degraded_intervals,
             )
         return SimMetrics(
-            strategy="enforced",
+            strategy=strategy,
             n_items=self.n_items,
             makespan=makespan,
             active_time_per_node=self._active_time.copy(),

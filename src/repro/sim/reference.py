@@ -591,7 +591,6 @@ class ReferenceAdaptiveSimulator:
         if (
             self._arrivals_done
             and self._in_flight == 0
-            and not any(self._busy)
             and not self._shutdown
         ):
             self._shutdown = True
@@ -699,7 +698,7 @@ class ReferenceAdaptiveSimulator:
         with np.errstate(invalid="ignore"):
             occupancy = np.where(
                 self._firings > 0,
-                self._items_consumed / np.maximum(self._firings, 1) / v,
+                self._items_consumed / (np.maximum(self._firings, 1) * v),
                 np.nan,
             )
         return SimMetrics(

@@ -5,10 +5,6 @@ processor with ``v``-wide SIMD vector operations, where each pipeline node
 is allotted a fixed ``1/N`` fraction of processor time and fires on vectors
 of up to ``v`` items in fixed service time ``t_i``.
 
-- :class:`~repro.simd.device.SimdDevice` — device parameters and per-firing
-  cost accounting.
-- :mod:`~repro.simd.lanes` — lane assignment/compaction arithmetic (how many
-  vector firings a batch of items needs, occupancy of each).
 - :class:`~repro.simd.occupancy.OccupancyTracker` — lane-occupancy and
   active-time statistics.
 - :mod:`~repro.simd.sharing` — timing models: the paper's idealized
@@ -22,12 +18,6 @@ from repro.simd.backend import (
     get_backend,
     set_backend,
     use_backend,
-)
-from repro.simd.device import SimdDevice
-from repro.simd.lanes import (
-    lane_occupancies,
-    split_into_vectors,
-    vectors_needed,
 )
 from repro.simd.occupancy import OccupancyTracker
 from repro.simd.sharing import (
@@ -43,10 +33,6 @@ __all__ = [
     "get_backend",
     "set_backend",
     "use_backend",
-    "SimdDevice",
-    "vectors_needed",
-    "split_into_vectors",
-    "lane_occupancies",
     "OccupancyTracker",
     "TimingModel",
     "IdealizedSharing",

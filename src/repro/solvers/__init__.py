@@ -12,8 +12,8 @@ solvers:
   certifies its own optimality when chain constraints are slack.
 - :mod:`~repro.solvers.projected_gradient` — projected gradient descent
   with an exact projection onto box-plus-budget sets.
-- :mod:`~repro.solvers.golden`, :mod:`~repro.solvers.bisection`,
-  :mod:`~repro.solvers.grid`, :mod:`~repro.solvers.line_search` —
+- :mod:`~repro.solvers.bisection`, :mod:`~repro.solvers.grid`,
+  :mod:`~repro.solvers.line_search` —
   scalar/utility routines used by the above and by the monolithic scan.
 - :mod:`~repro.solvers.fallback` — resilient orchestration: an ordered
   chain of solver rungs with perturbed-restart retries and explicit
@@ -33,7 +33,6 @@ from repro.solvers.fallback import (
     perturbation_scale,
     solve_with_fallback,
 )
-from repro.solvers.golden import golden_section_min
 from repro.solvers.grid import best_feasible_index, grid_min
 from repro.solvers.line_search import backtracking_armijo
 from repro.solvers.kkt import project_box_budget, waterfill_box_budget
@@ -45,7 +44,6 @@ __all__ = [
     "SolverStatus",
     "bisect_root",
     "bisect_decreasing",
-    "golden_section_min",
     "grid_min",
     "best_feasible_index",
     "backtracking_armijo",

@@ -4,9 +4,28 @@ import numpy as np
 import pytest
 
 from repro.arrivals.fixed import FixedRateArrivals
+from repro.arrivals.poisson import PoissonArrivals
+from repro.dataflow.spec import PipelineSpec
 from repro.errors import SimulationError, SpecError
+from repro.resilience.watchdog import DeadlineWatchdog
 from repro.sim.adaptive import AdaptiveWaitsSimulator
 from repro.sim.enforced import EnforcedWaitsSimulator
+
+_METRIC_FIELDS = (
+    "n_items",
+    "makespan",
+    "active_fraction",
+    "missed_items",
+    "miss_rate",
+    "outputs",
+    "mean_latency",
+    "max_latency",
+    "active_time_per_node",
+    "queue_hwm_vectors",
+    "firings",
+    "empty_firings",
+    "mean_occupancy",
+)
 
 
 def _run(pipeline, waits, tau0, deadline, n_items, **kw):
@@ -46,6 +65,33 @@ class TestFixedPolicyBaseline:
             reference.active_fraction, rel=1e-9
         )
         assert (fixed.extra["early_firings"] == 0).all()
+
+    @pytest.mark.parametrize("vector_width", [1, 3, 8])
+    @pytest.mark.parametrize(
+        "arrivals", ["poisson", "fixed"], ids=["poisson", "fixed-rate"]
+    )
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_bit_identical_to_enforced(self, vector_width, arrivals, seed):
+        """Without triggers the adaptive loop is the enforced loop: every
+        metric field agrees bit for bit, trailing empty firings and lane
+        occupancy included."""
+        pipeline = PipelineSpec.from_arrays(
+            [2.0, 5.0, 3.0], [1.0, 0.7, 1.0], vector_width
+        )
+        waits = np.asarray([3.0, 0.0, 1.0])
+        process = (
+            PoissonArrivals(1.3) if arrivals == "poisson"
+            else FixedRateArrivals(1.3)
+        )
+        fixed = AdaptiveWaitsSimulator(
+            pipeline, waits, process, 40.0, 300, seed=seed, policy="fixed"
+        ).run()
+        enforced = EnforcedWaitsSimulator(
+            pipeline, waits, process, 40.0, 300, seed=seed
+        ).run()
+        for field in _METRIC_FIELDS:
+            a, b = getattr(fixed, field), getattr(enforced, field)
+            assert np.array_equal(a, b, equal_nan=True), field
 
 
 class TestFullVectorPolicy:
@@ -133,8 +179,43 @@ class TestValidation:
         with pytest.raises(SimulationError):
             sim.run()
 
+    @pytest.mark.parametrize("policy", ["full-vector", "slack"])
+    def test_overlapping_firings_shut_down(self, policy):
+        """Nodes whose firings always overlap never all idle at once; the
+        run still ends once the arrivals are done and nothing is in
+        flight."""
+        m = AdaptiveWaitsSimulator(
+            PipelineSpec.from_arrays([2, 3], [1, 1], 1),
+            np.asarray([1.0, 0.0]),
+            FixedRateArrivals(5.0),
+            100.0,
+            20,
+            policy=policy,
+            max_events=20_000,
+        ).run()
+        assert m.outputs == 20
+
     def test_seed_reproducible(self, tiny_pipeline):
         a = _run(tiny_pipeline, np.full(2, 50.0), 5.0, 1e5, 500, seed=3)
         b = _run(tiny_pipeline, np.full(2, 50.0), 5.0, 1e5, 500, seed=3)
         assert a.outputs == b.outputs
         assert a.mean_latency == b.mean_latency
+
+
+class TestWatchdog:
+    @pytest.mark.parametrize(
+        "simulator", [EnforcedWaitsSimulator, AdaptiveWaitsSimulator]
+    )
+    def test_tail_firing_without_outputs(self, simulator):
+        """A tail firing whose gains emit nothing gives the watchdog no
+        exit to observe, and the run goes on."""
+        m = simulator(
+            PipelineSpec.from_arrays([2, 3], [1.0, 0.3], 1),
+            np.asarray([1.0, 0.0]),
+            FixedRateArrivals(5.0),
+            100.0,
+            50,
+            watchdog=DeadlineWatchdog(100.0),
+        ).run()
+        assert 0 < m.outputs < 50
+        assert m.missed_items == 0

@@ -1,4 +1,4 @@
-"""Tests for scalar solver utilities: bisection, golden section, grid."""
+"""Tests for scalar solver utilities: bisection, grid, line search."""
 
 import math
 
@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.errors import SolverError
 from repro.solvers.bisection import bisect_decreasing, bisect_root
-from repro.solvers.golden import golden_section_min
 from repro.solvers.grid import best_feasible_index, grid_min
 from repro.solvers.line_search import backtracking_armijo
 
@@ -46,33 +45,6 @@ class TestBisectDecreasing:
     def test_expands_bracket(self):
         x = bisect_decreasing(lambda x: 1e6 / x, 1.0, 1e-9, 1.0)
         assert x == pytest.approx(1e6, rel=1e-6)
-
-
-class TestGoldenSection:
-    def test_quadratic_minimum(self):
-        x, fx = golden_section_min(lambda x: (x - 3.0) ** 2 + 1, 0.0, 10.0)
-        assert x == pytest.approx(3.0, abs=1e-6)
-        assert fx == pytest.approx(1.0, abs=1e-9)
-
-    def test_degenerate_interval(self):
-        x, fx = golden_section_min(lambda x: x, 2.0, 2.0)
-        assert (x, fx) == (2.0, 2.0)
-
-    def test_monotone_converges_to_endpoint(self):
-        x, _ = golden_section_min(lambda x: x, 0.0, 1.0)
-        assert x == pytest.approx(0.0, abs=1e-5)
-
-    def test_inverted_rejected(self):
-        with pytest.raises(SolverError):
-            golden_section_min(lambda x: x, 1.0, 0.0)
-
-    @settings(max_examples=30)
-    @given(center=st.floats(-50, 50))
-    def test_property_quadratics(self, center):
-        x, _ = golden_section_min(
-            lambda x: (x - center) ** 2, center - 100, center + 100
-        )
-        assert x == pytest.approx(center, abs=1e-4)
 
 
 class TestGrid:
