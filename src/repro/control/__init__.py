@@ -16,11 +16,10 @@ the loop with *learning*:
   (cross-entropy search, pure numpy) plus the frozen ``oracle`` and
   ``replan`` baselines;
 - :mod:`repro.control.evaluate` — head-to-head regret / deadline-miss /
-  active-fraction comparison, feeding ``benchmarks/perf/control.py``
-  and ``BENCH_control.json``.
+  active-fraction comparison, gated by ``tests/test_control_policy.py``.
 
-See ``docs/control.md`` for the environment contract and the benchmark
-reproduction recipe.
+See ``docs/control.md`` for the environment contract and the
+head-to-head gates.
 """
 
 from repro.control.bandit import BanditPolicy, LinUCB, PlanArm, PlanLibrary

@@ -555,10 +555,20 @@ plan_runtime`).
             return _EMPTY_IDS
         now = self._now()
         ids = self.origins.append(now, k)
+        # Counted before the push so a node thread can never retire
+        # items that are not yet in flight; a refused push (head
+        # overflow without a shed policy) stores nothing, so its count
+        # is taken back.
         with self._lock:
             self._items_ingested += k
             self._in_flight += k
-        dropped = self.queues[0].push(ids, payload, now=now)
+        try:
+            dropped = self.queues[0].push(ids, payload, now=now)
+        except SimulationError:
+            with self._lock:
+                self._items_ingested -= k
+                self._in_flight -= k
+            raise
         if dropped is not None and dropped.size:
             with self._lock:
                 self.ledger.record_drops(ids=dropped)

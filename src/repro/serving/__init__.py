@@ -19,7 +19,7 @@ stack so they harden together:
   ``"retriable"`` half of the error contract;
 - :mod:`~repro.serving.chaos` — deliberately misbehaving clients
   (slow-loris, oversized frames, mid-request disconnects, floods) used
-  by the chaos test suite and ``benchmarks/perf/serving.py``.
+  by the chaos test suite (``tests/test_serving_chaos.py``).
 """
 
 from repro.serving.admission import (

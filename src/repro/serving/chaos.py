@@ -1,13 +1,13 @@
-"""Network chaos clients for hardening tests and the serving benchmark.
+"""Network chaos clients for hardening tests.
 
 Each helper here is a deliberately *badly behaved* client aimed at a
 JSON-lines server: a slow-loris writer that trickles a request forever,
 an oversized frame, raw garbage, a mid-request disconnect, and a
 many-client flood.  The chaos test suite
-(``tests/test_serving_chaos.py``) and the serving benchmark
-(``benchmarks/perf/serving.py``) both drive servers through these and
-then assert the server is still healthy — zero crashes, bounded queues,
-clean drains — via the ``{"op": "health"}`` probe.
+(``tests/test_serving_chaos.py``) and the tenancy frontend tests drive
+servers through these and then assert the server is still healthy —
+zero crashes, bounded queues, clean drains — via the
+``{"op": "health"}`` probe.
 
 Everything is plain blocking-socket code on purpose: the attackers must
 not share an event loop (or any failure mode) with the asyncio servers

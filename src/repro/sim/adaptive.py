@@ -57,7 +57,7 @@ within the firing window is drained in one chunk at the completion
 boundary, before the completion handler re-evaluates the triggers.
 Telemetry observations of chunked arrivals are replayed with their
 original timestamps.  The result is bit-identical to the per-item
-reference (:class:`~repro.sim.reference.ReferenceAdaptiveSimulator`).
+reference (``ReferenceAdaptiveSimulator`` in ``tests/sim_reference.py``).
 
 The degraded-mode runtime kwargs (``runtime_faults``, ``queue_capacity``
 + ``shed_policy``, ``watchdog``) are those of the enforced simulator;

@@ -45,7 +45,7 @@ every not-yet-enqueued arrival with timestamp ``<= now`` in one
 observationally identical to per-item arrival events: every firing sees
 exactly the same queue state, so the simulation is bit-identical to the
 per-item reference implementation
-(:class:`~repro.sim.reference.ReferenceEnforcedSimulator`) — only the
+(``ReferenceEnforcedSimulator`` in ``tests/sim_reference.py``) — only the
 engine's ``events_processed`` count drops (by one event per item).
 Telemetry and trace hooks replay the per-arrival observations with the
 original arrival timestamps, so their statistics are unchanged; trace

@@ -7,7 +7,8 @@ event-loop interaction reduces to order statistics over those fixed
 grids.  This module exploits that to compute the entire simulation with
 a handful of array operations per node — no event queue at all — while
 remaining **bit-identical** to the event loop (and therefore to
-``sim/reference.py``, which the event loop is already pinned against).
+the test oracle ``tests/sim_reference.py``, which the event loop is
+already pinned against).
 
 One replay, :func:`run_enforced_fast`, serves chains and DAGs alike: it
 walks the simulator's channel table (see :mod:`repro.sim.enforced`) in

@@ -15,6 +15,7 @@ Three layers of the compiled-backend stack:
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -304,6 +305,26 @@ class TestFastPathAuthenticity:
             assert qf.max_depth == qs.max_depth
             assert qf.total_pushed == qs.total_pushed
             assert qf.total_popped == qs.total_popped
+
+    @pytest.mark.slow
+    def test_fast_path_is_three_times_the_event_path(self):
+        # Wall-clock floor: best of three 5000-item runs on each path.
+        if not get_backend().fastpath:
+            pytest.skip(f"backend {get_backend().name!r} has no fast path")
+        _run(n_items=500)
+        with use_backend("python"):
+            _run(n_items=500)
+        fast_s = event_s = math.inf
+        for _ in range(3):
+            t0 = time.perf_counter()
+            fast_sim, _ = _run(n_items=5000)
+            fast_s = min(fast_s, time.perf_counter() - t0)
+            with use_backend("python"):
+                t0 = time.perf_counter()
+                _run(n_items=5000)
+                event_s = min(event_s, time.perf_counter() - t0)
+        assert fast_sim.engine.events_processed == 0
+        assert event_s / fast_s >= 3.0
 
     def test_telemetry_forces_the_event_loop(self):
         with use_backend("vector"):

@@ -66,6 +66,17 @@ class TestOraclePolicy:
         waits = [tuple(np.round(w, 6)) for w in policy._waits]
         assert len(set(waits)) > 1
 
+    def test_episodes_are_bit_reproducible(self):
+        cfg = _drifting_config()
+        env = PipelineControlEnv(cfg)
+        oracle = OraclePolicy(cfg)
+        a = run_episode(env, oracle, seed=0)
+        b = run_episode(env, oracle, seed=0)
+        assert a.segments == b.segments
+        assert np.array_equal(a.rewards, b.rewards)
+        assert np.array_equal(a.misses, b.misses)
+        assert a.makespan == b.makespan
+
 
 class TestReplanPolicy:
     def test_replans_under_drift_and_recovers(self):
@@ -160,9 +171,8 @@ class TestTraining:
 
 class TestHeadToHead:
     def test_gate_properties_small(self):
-        # A scaled-down version of the BENCH_control gate: the bandit's
-        # regret beats the cold re-solve path's, with zero stationary
-        # misses.
+        # The bandit, pretrained on held-out seeds, beats the cold
+        # re-solve path's regret with zero stationary misses.
         from repro.control import BanditPolicy, PlanLibrary
 
         cfg = _drifting_config(n_items=3000)
@@ -189,6 +199,19 @@ class TestHeadToHead:
             < out["replan"].cumulative_regret
         )
         assert out["bandit"].stationary_misses == 0
+
+    def test_learned_policy_has_zero_stationary_misses(self):
+        cfg = _drifting_config()
+        learned, _ = train_cross_entropy(
+            cfg,
+            seed=0,
+            iterations=3,
+            population=8,
+            elite_frac=0.3,
+            episode_seeds=(100,),
+        )
+        out = head_to_head(cfg, {"learned": learned}, seeds=(0,))
+        assert out["learned"].stationary_misses == 0
 
     def test_requires_seeds(self):
         with pytest.raises(SpecError):

@@ -41,6 +41,28 @@ class TestResolutionOrder:
         assert np.array_equal(hit.solution.periods, cold.solution.periods)
         assert cache.stats.hits == 1
 
+    def test_repeated_sweep_matches_uncached_solves(self):
+        # A tau0 x deadline grid swept five times through one cache
+        # resolves to the same plans as solving every request cold.
+        b = calibrated_b()
+        points = [
+            (float(tau0), float(deadline))
+            for tau0 in np.geomspace(16.0, 60.0, 4)
+            for deadline in np.geomspace(8.0e4, 3.0e5, 3)
+        ]
+        cache = PlanCache()
+        for _ in range(5):
+            for tau0, deadline in points:
+                problem = RealTimeProblem(blast_pipeline(), tau0, deadline)
+                uncached = EnforcedWaitsProblem(problem, b).solve()
+                cached = solve_plan(problem, b, cache=cache).solution
+                assert cached.feasible == uncached.feasible
+                if uncached.feasible:
+                    np.testing.assert_allclose(
+                        cached.periods, uncached.periods, rtol=1e-6, atol=1e-9
+                    )
+        assert cache.stats.hits + cache.stats.misses == 5 * len(points)
+
     def test_disk_hit_is_bit_identical(self, problem, tmp_path):
         path = tmp_path / "plans.json"
         first = PlanCache(path=path)

@@ -149,6 +149,23 @@ class TestExecutorResilience:
                 time.sleep(0.002)
         ex.finish_ingest()
 
+    def test_refused_batch_is_not_counted_in_flight(self):
+        # A batch larger than the head queue's capacity is refused
+        # whole; the executor must not count it, or join() never drains.
+        ex = PipelineExecutor(
+            _kernels(), [0.0, 0.0], vector_width=4, deadline=10.0,
+            queue_capacity=4,
+        )
+        ex.start()
+        ex.submit(np.zeros(4))
+        with pytest.raises(SimulationError, match="overflowed"):
+            ex.submit(np.zeros(8))
+        ex.finish_ingest()
+        report = ex.join(timeout=10.0)
+        assert ex.in_flight == 0
+        assert report.telemetry.items_ingested == 4
+        assert report.outputs == 4
+
 
 class TestAcceptance:
     """ISSUE 5 acceptance: live runs hold the plan's promises."""
@@ -167,6 +184,21 @@ class TestAcceptance:
             t.measured_active_fraction, rel=0.15
         )
         assert t.latency_max <= plan.problem.deadline
+
+    @pytest.mark.slow
+    def test_live_synthetic_holds_af_and_deadline(self):
+        """The synthetic chain on the wall clock: zero misses, measured
+        AF within 15% of the planned AF."""
+        from repro.runtime.cli import run_live
+
+        _, report = run_live("synthetic", seconds=1.5, seed=0)
+        t = report.telemetry
+        assert t.outputs > 0
+        assert t.missed_items == 0
+        assert t.planned_active_fraction > 0
+        assert abs(
+            t.measured_active_fraction / t.planned_active_fraction - 1.0
+        ) <= 0.15
 
     def test_drift_triggers_replan_and_compliance_holds(self):
         """A mid-run service slowdown trips the drift detector; the

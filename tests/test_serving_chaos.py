@@ -10,6 +10,9 @@ from __future__ import annotations
 import pytest
 
 from repro.dataflow.gains import DeterministicGain
+from repro.planning.cache import PlanCache
+from repro.planning.cli import parse_request
+from repro.planning.service import PlanningService
 from repro.runtime.executor import PipelineExecutor
 from repro.runtime.ingest import IngestServer
 from repro.runtime.kernels import SpinKernel
@@ -22,6 +25,17 @@ from repro.serving.chaos import (
     send_raw_lines,
     slow_loris,
 )
+
+
+PLAN_REQUEST = {
+    "pipeline": {
+        "service_times": [10.0, 20.0, 15.0],
+        "mean_gains": [0.6, 1.5, 1.0],
+        "vector_width": 16,
+    },
+    "tau0": 20.0,
+    "deadline": 900.0,
+}
 
 
 def _executor(n=2, service=0.001):
@@ -157,6 +171,8 @@ class TestIngestChaos:
             health = _assert_healthy(server)
             # Conservation: whatever was accepted is in flight or done.
             assert health["accepted_items"] == result.ok * 8
+            assert health["in_flight_items"] <= admission.budget
+            assert health["stats"]["internal_errors"] == 0
         finally:
             self._teardown(ex, server)
 
@@ -204,6 +220,41 @@ class TestPlainServerChaos:
             )
             assert health["ok"] is True
             assert health["stats"]["responses"] >= 8 * 16
+        finally:
+            server.stop()
+
+    def test_planning_flood_is_fully_answered(self):
+        # Identical plan requests from many clients at once: single
+        # flight and the cache absorb the duplicates, and every request
+        # gets a well-formed answer.
+        service = PlanningService(PlanCache(), max_concurrency=8)
+
+        async def handler(obj):
+            resp = await service.plan(parse_request(obj))
+            return {"source": resp.source, "seconds": resp.seconds}
+
+        clients = 32
+        server = JsonLinesServer(
+            handler,
+            port=0,
+            config=ServingConfig(max_connections=4 * clients),
+            name="plan-flood",
+        )
+        server.start()
+        try:
+            result = flood(
+                server.host,
+                server.port,
+                clients=clients,
+                requests_per_client=4,
+                build_request=lambda ci, ri: dict(PLAN_REQUEST),
+                timeout=120.0,
+            )
+            assert result.answered == result.sent == clients * 4
+            assert result.transport_failures == 0, result.exceptions
+            assert result.errors == 0
+            health = request_once(server.host, server.port, {"op": "health"})
+            assert health["stats"]["internal_errors"] == 0
         finally:
             server.stop()
 

@@ -3,10 +3,10 @@
 Randomized (but seeded — every case is reproducible from its index)
 small pipelines are pushed through the production vectorized simulators
 and the pre-vectorization per-item reference implementations in
-``repro.sim.reference``; the resulting :class:`SimMetrics` must be
-**bit-identical** field by field — the same equivalence contract the
-perf harness (``benchmarks/perf/run.py``) enforces on its fixed
-configuration, here swept over a randomized configuration space:
+``tests.sim_reference``; the resulting :class:`SimMetrics` must be
+**bit-identical** field by field — the same equivalence contract
+``tests/test_sim_equivalence.py`` pins on its fixed configurations,
+here swept over a randomized configuration space:
 pipeline depth 1–4, mixed gain families, vector widths 2–8, fixed-rate
 and Poisson arrivals, and waits both generous and tight.
 """
@@ -28,7 +28,7 @@ from repro.dataflow.gains import (
 from repro.dataflow.spec import NodeSpec, PipelineSpec
 from repro.sim.adaptive import AdaptiveWaitsSimulator
 from repro.sim.enforced import EnforcedWaitsSimulator
-from repro.sim.reference import (
+from tests.sim_reference import (
     ReferenceAdaptiveSimulator,
     ReferenceEnforcedSimulator,
 )

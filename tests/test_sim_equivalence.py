@@ -4,7 +4,7 @@ The vectorized hot path (chunked arrival scheduling, ring-buffer queues,
 batched ledger/tracker recording) is an *optimization*, not a model
 change: for every seed it must produce bit-identical
 :class:`~repro.sim.metrics.SimMetrics` — including telemetry extras — to
-the frozen pre-change implementations in :mod:`repro.sim.reference`.
+the frozen pre-change implementations in :mod:`tests.sim_reference`.
 
 Legitimate divergences, excluded from comparison:
 
@@ -31,7 +31,7 @@ from repro.dataflow.spec import NodeSpec, PipelineSpec
 from repro.sim.adaptive import AdaptiveWaitsSimulator
 from repro.sim.enforced import EnforcedWaitsSimulator
 from repro.sim.monolithic import MonolithicSimulator
-from repro.sim.reference import (
+from tests.sim_reference import (
     ReferenceAdaptiveSimulator,
     ReferenceEnforcedSimulator,
     ReferenceMonolithicSimulator,

@@ -2,8 +2,8 @@
 
 Ring tests are pure and fast.  The end-to-end tests spawn real
 ``repro-plan serve`` worker subprocesses behind the consistent-hash
-frontend and are marked slow; the big concurrent load test lives in
-``benchmarks/perf/tenancy.py`` (the CI job runs its smoke mode).
+frontend and are marked slow, among them a flood of 128 concurrent
+plan requests that must all be answered.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from collections import Counter
 import pytest
 
 from repro.errors import ServingError, SpecError
+from repro.serving import ServingConfig
 from repro.serving.chaos import flood, request_once
 from repro.tenancy.frontend import (
     ConsistentHashRing,
@@ -120,6 +121,38 @@ class TestShardedFrontend:
         moved = {w: after[w] - before[w] for w in after}
         assert moved[owner] == 5
         assert sum(moved.values()) == 5
+
+    def test_flood_of_128_requests_is_fully_answered(self):
+        clients, per_client = 32, 4
+        reqs = _demo_wire_requests(64, distinct=64)
+        workers = start_worker_pool(2)
+        fe = ShardedPlanningFrontend(
+            workers,
+            config=ServingConfig(max_connections=1024, idle_timeout=None),
+        ).start()
+        try:
+            result = flood(
+                fe.host,
+                fe.port,
+                clients=clients,
+                requests_per_client=per_client,
+                build_request=lambda ci, ri: reqs[
+                    (ci * per_client + ri) % len(reqs)
+                ],
+                timeout=300.0,
+            )
+            stats = request_once(fe.host, fe.port, {"op": "stats"}, timeout=60.0)
+        finally:
+            fe.stop()
+            fe.join(timeout=60.0)
+            for w in workers:
+                w.stop()
+        assert result.sent >= 128
+        assert result.answered == result.sent
+        assert result.transport_failures == 0, result.exceptions
+        assert result.errors == 0
+        assert stats["worker_failures"] == 0
+        assert result.latency_quantile(0.99) * 1e3 <= 5000.0
 
     def test_repeat_requests_hit_the_worker_cache(self, frontend):
         req = _demo_wire_requests(1, distinct=1)[0]

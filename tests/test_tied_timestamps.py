@@ -3,7 +3,7 @@
 The arrival contract (:meth:`repro.arrivals.base.ArrivalProcess.generate`)
 is nondecreasing *with ties allowed* — trace replays of real instruments
 produce equal timestamps routinely.  The pre-change
-:class:`~repro.sim.reference.ReferenceLatencyLedger` keyed per-item
+:class:`~tests.sim_reference.ReferenceLatencyLedger` keyed per-item
 bookkeeping on the origin timestamp and therefore collapsed distinct
 tied-arrival items into one, undercounting ``missed_items`` and
 ``items_with_output``.  The production
@@ -24,7 +24,7 @@ from repro.dataflow.gains import DeterministicGain
 from repro.dataflow.spec import NodeSpec, PipelineSpec
 from repro.sim.enforced import EnforcedWaitsSimulator
 from repro.sim.metrics import LatencyLedger
-from repro.sim.reference import (
+from tests.sim_reference import (
     ReferenceEnforcedSimulator,
     ReferenceLatencyLedger,
 )
