@@ -39,17 +39,26 @@ linear, so this is a convex program; we solve it exactly with one of:
 
 from __future__ import annotations
 
+import functools
+import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.feasibility import enforced_feasibility, minimal_periods
+from repro.core.feasibility import (
+    EnforcedFeasibility,
+    enforced_feasibility,
+    minimal_periods,
+)
 from repro.core.model import RealTimeProblem
 from repro.dataflow.spec import PipelineSpec
 from repro.errors import SolverError, SpecError
 from repro.solvers.fallback import (
     FallbackRung,
+    FeasibilityCertificate,
     certify_linear,
+    certify_violations,
     perturbation_scale,
     solve_with_fallback,
 )
@@ -67,6 +76,26 @@ __all__ = [
 ]
 
 _TOL = 1e-9
+
+
+def _mean(v: np.ndarray) -> float:
+    """``float(np.mean(v))`` of a 1-D array, bit for bit, without its wrapper.
+
+    ``np.mean`` is this pairwise sum divided by the count; a Python sum
+    would round differently once ``v`` has eight or more entries.
+    """
+    return float(np.add.reduce(v)) / v.size
+
+
+@functools.lru_cache(maxsize=64)
+def _row_labels(n: int) -> tuple[str, ...]:
+    """Labels of the ``2n + 1`` rows of :meth:`EnforcedWaitsProblem.constraint_system`."""
+    return (
+        "head_rate",
+        *(f"chain_{i - 1}->{i}" for i in range(1, n)),
+        "deadline",
+        *(f"wait_nonneg_{i}" for i in range(n)),
+    )
 
 
 def optimistic_b(pipeline: PipelineSpec) -> np.ndarray:
@@ -127,7 +156,8 @@ class EnforcedWaitsProblem:
             raise SpecError(
                 f"b must have length {pipeline.n_nodes}, got shape {b.shape}"
             )
-        if (b <= 0).any():
+        self._bl = b.tolist()
+        if any(bi <= 0 for bi in self._bl):
             raise SpecError("all b_i must be > 0")
         self.b = b
         self.t = pipeline.service_times
@@ -136,12 +166,19 @@ class EnforcedWaitsProblem:
         self.head_cap = pipeline.vector_width * problem.tau0
         self.deadline = problem.deadline
         self._constraints: tuple[np.ndarray, np.ndarray, list[str]] | None = None
+        self._feasibility: EnforcedFeasibility | None = None
+
+    def feasibility(self) -> EnforcedFeasibility:
+        """:func:`~repro.core.feasibility.enforced_feasibility` of this instance, checked once."""
+        if self._feasibility is None:
+            self._feasibility = enforced_feasibility(self.problem, self.b)
+        return self._feasibility
 
     # -- objective ---------------------------------------------------------
 
     def active_fraction(self, x: np.ndarray) -> float:
         """The objective ``(1/N) sum_i t_i / x_i``."""
-        return float(np.mean(self.t / x))
+        return _mean(self.t / x)
 
     def _f(self, x: np.ndarray) -> float:
         if (x <= 0).any():
@@ -174,13 +211,7 @@ class EnforcedWaitsProblem:
             c = np.concatenate(([self.head_cap], np.zeros(n - 1), [self.deadline], -self.t))
             A.flags.writeable = False
             c.flags.writeable = False
-            labels = (
-                ["head_rate"]
-                + [f"chain_{i - 1}->{i}" for i in range(1, n)]
-                + ["deadline"]
-                + [f"wait_nonneg_{i}" for i in range(n)]
-            )
-            self._constraints = (A, c, labels)
+            self._constraints = (A, c, list(_row_labels(n)))
         return self._constraints
 
     def chain_satisfied(self, x: np.ndarray, *, rtol: float = 1e-9) -> bool:
@@ -190,27 +221,72 @@ class EnforcedWaitsProblem:
                 return False
         return True
 
+    def check_rows(
+        self, x: np.ndarray, *, rtol: float = 1e-6
+    ) -> tuple[FeasibilityCertificate, tuple[str, ...]]:
+        """One pass over the rows of :meth:`constraint_system` at ``x``.
+
+        Each row's residual ``(A x - c)_k`` is evaluated on Python floats
+        from its closed form, without the dense matrix.  Scaled by
+        ``max(|c_k|, 1)`` they give the :class:`FeasibilityCertificate`
+        at 1e-9 (as :func:`~repro.solvers.fallback.certify_linear`
+        would); rows with ``|(A x - c)_k| <= rtol * max(|c_k|, 1)`` are
+        the binding labels.  A non-finite ``x`` fails the certificate and
+        binds nothing.
+        """
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.n,):
+            raise SpecError(f"x must have length {self.n}, got shape {x.shape}")
+        xl = x.tolist()
+        labels = _row_labels(self.n)
+        if not all(map(math.isfinite, xl)):
+            return certify_violations([math.inf], ["(non-finite iterate)"], tol=_TOL), ()
+        tl, gl = self.t.tolist(), self.g.tolist()
+        head_cap, deadline = self.head_cap, self.deadline
+        # (A x - c)_k and max(|c_k|, 1), in constraint_system's row order.
+        residual = [
+            xl[0] - head_cap,
+            *map(operator.sub, map(operator.mul, gl, xl[1:]), xl),
+            sum(map(operator.mul, self._bl, xl)) - deadline,
+            *map(operator.sub, tl, xl),
+        ]
+        scale = [
+            max(abs(head_cap), 1.0),
+            *[1.0] * (self.n - 1),
+            max(abs(deadline), 1.0),
+            *[max(ti, 1.0) for ti in tl],
+        ]
+        cert = certify_violations(
+            list(map(operator.truediv, residual, scale)), labels, tol=_TOL
+        )
+        binding = tuple(
+            [lab for lab, r, s in zip(labels, residual, scale) if abs(r) <= rtol * s]
+        )
+        return cert, binding
+
     def binding_constraints(self, x: np.ndarray, *, rtol: float = 1e-6) -> tuple[str, ...]:
-        """Labels of constraints tight at ``x``."""
-        A, c, labels = self.constraint_system()
-        lhs = A @ x
-        scale = np.maximum(np.abs(c), 1.0)
-        tight = np.abs(lhs - c) <= rtol * scale
-        return tuple(lab for lab, t in zip(labels, tight) if t)
+        """Labels of constraints tight at ``x`` (see :meth:`check_rows`)."""
+        return self.check_rows(x, rtol=rtol)[1]
 
     # -- solving -----------------------------------------------------------
 
     def _solution_from_x(
-        self, x: np.ndarray, method: str, result: SolverResult | None
+        self,
+        x: np.ndarray,
+        method: str,
+        result: SolverResult | None,
+        binding: tuple[str, ...] | None = None,
     ) -> EnforcedWaitsSolution:
+        """The solution at ``x``; ``binding``, when given, is the binding set at ``x``."""
         x = np.maximum(x, self.t)  # snap tiny bound violations
+        utilization = self.t / x
         return EnforcedWaitsSolution(
             feasible=True,
             periods=x,
             waits=x - self.t,
-            active_fraction=self.active_fraction(x),
-            node_utilizations=self.t / x,
-            binding=self.binding_constraints(x),
+            active_fraction=_mean(utilization),
+            node_utilizations=utilization,
+            binding=self.binding_constraints(x) if binding is None else binding,
             method=method,
             solver_result=result,
         )
@@ -362,7 +438,7 @@ class EnforcedWaitsProblem:
 
     def solve(self, method: str = "auto") -> EnforcedWaitsSolution:
         """Solve the Figure 1 problem; see module docstring for methods."""
-        feas = enforced_feasibility(self.problem, self.b)
+        feas = self.feasibility()
         if not feas.feasible:
             return self._infeasible(feas.diagnosis)
 

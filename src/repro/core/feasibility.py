@@ -17,6 +17,7 @@ delimit sweeps (the paper notes no strategy was feasible below
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,14 +58,12 @@ def minimal_periods(pipeline: PipelineSpec) -> np.ndarray:
     ``x_{i-1} = max(t_{i-1}, g_{i-1} * x_i)`` — upstream must fire at least
     as often (scaled by gain) as downstream requires.
     """
-    t = pipeline.service_times
-    g = pipeline.mean_gains
-    n = pipeline.n_nodes
-    x = np.empty(n, dtype=float)
-    x[n - 1] = t[n - 1]
-    for i in range(n - 1, 0, -1):
+    t = pipeline.service_times.tolist()
+    g = pipeline.mean_gains.tolist()
+    x = t[:]
+    for i in range(len(x) - 1, 0, -1):
         x[i - 1] = max(t[i - 1], g[i - 1] * x[i])
-    return x
+    return np.array(x, dtype=float)
 
 
 def enforced_feasibility(
@@ -76,20 +75,22 @@ def enforced_feasibility(
         raise SpecError(
             f"b must have length {problem.n_nodes}, got shape {b.shape}"
         )
-    if (b <= 0).any():
+    bl = b.tolist()
+    if any(bi <= 0 for bi in bl):
         raise SpecError("all b_i must be > 0")
     x_min = minimal_periods(problem.pipeline)
+    xl = x_min.tolist()
     head_cap = problem.vector_width * problem.tau0
-    if x_min[0] > head_cap * (1 + 1e-12):
+    if xl[0] > head_cap * (1 + 1e-12):
         return EnforcedFeasibility(
             False,
             x_min,
             diagnosis=(
-                f"head node cannot keep up: minimal period {x_min[0]:.6g} "
+                f"head node cannot keep up: minimal period {xl[0]:.6g} "
                 f"exceeds v*tau0 = {head_cap:.6g} (arrivals too fast)"
             ),
         )
-    budget_min = float(np.dot(b, x_min))
+    budget_min = sum(map(operator.mul, bl, xl))
     if budget_min > problem.deadline * (1 + 1e-12):
         return EnforcedFeasibility(
             False,

@@ -104,6 +104,14 @@ class PipelineSpec:
         """Vector of ``g_i`` (the last entry included even if unused)."""
         return np.asarray([n.mean_gain for n in self.nodes])
 
+    @cached_property
+    def key_bytes(self) -> tuple[bytes, bytes]:
+        """float64 bytes of ``t`` and ``g``: the pipeline's part of a plan-cache key."""
+        return (
+            np.asarray(self.service_times, dtype=float).tobytes(),
+            np.asarray(self.mean_gains, dtype=float).tobytes(),
+        )
+
     # -- paper's derived quantities ---------------------------------------
 
     @cached_property

@@ -107,8 +107,7 @@ def _shape_args(
             f"b must have length {pipeline.n_nodes}, got shape {b.shape}"
         )
     return (
-        np.asarray(pipeline.service_times, dtype=float).tobytes(),
-        np.asarray(pipeline.mean_gains, dtype=float).tobytes(),
+        *pipeline.key_bytes,
         int(pipeline.vector_width),
         b.tobytes(),
         str(method),

@@ -11,8 +11,9 @@ for a configuration ``(pipeline, tau0, D, b, method)``:
    (:func:`warm_start_solve`).  The warm result is accepted only if the
    solver reports ``OPTIMAL`` *and* a fresh
    :class:`~repro.solvers.fallback.FeasibilityCertificate` passes on the
-   full constraint system; otherwise the attempt is rejected (counted in
-   ``stats.warm_rejects``) and the cold path runs.
+   full constraint system, evaluated as scalar row residuals
+   (:meth:`EnforcedWaitsProblem.check_rows`); otherwise the attempt is
+   rejected (counted in ``stats.warm_rejects``) and the cold path runs.
 3. **Cold solve** — :meth:`EnforcedWaitsProblem.solve` with the
    requested method, exactly as the uncached code path.
 
@@ -21,12 +22,13 @@ not used as a seed: seeding its budget multiplier from the neighbour
 was measured and cost more passes than the solver's own start.
 
 Infeasible configurations short-circuit: the feasibility check runs
-first (as in the cold path), the infeasible verdict is cached, and no
-warm start is attempted.
+first (once per miss; the cold path reuses its verdict), the infeasible
+verdict is cached, and no warm start is attempted.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -42,7 +44,6 @@ from repro.core.enforced_waits import (
     EnforcedWaitsSolution,
     optimistic_b,
 )
-from repro.core.feasibility import enforced_feasibility
 from repro.core.model import RealTimeProblem
 from repro.errors import SolverError
 from repro.planning.cache import (
@@ -52,7 +53,7 @@ from repro.planning.cache import (
     plan_key,
     shape_key,
 )
-from repro.solvers.fallback import FeasibilityCertificate, certify_linear
+from repro.solvers.fallback import FeasibilityCertificate
 from repro.solvers.kkt import waterfill_chain
 from repro.solvers.result import SolverStatus
 
@@ -64,8 +65,6 @@ __all__ = [
     "solve_plan_dag",
     "warm_start_solve",
 ]
-
-_CERT_TOL = 1e-9
 
 _default_cache: PlanCache | None = None
 
@@ -111,12 +110,14 @@ def warm_start_solve(
     problem's length.  Acceptance rule (documented in docs/planning.md):
     the solver must reach ``SolverStatus.OPTIMAL`` and its periods must
     pass a fresh linear :class:`FeasibilityCertificate` at tolerance 1e-9
-    on the *full* constraint system.  Any numerical failure, non-optimal
+    on the *full* constraint system.  One scalar pass over its rows
+    (:meth:`EnforcedWaitsProblem.check_rows`) yields both the certificate
+    and the solution's binding labels.  Any numerical failure, non-optimal
     status, or certificate rejection returns None so the caller falls
     back to the cold solve.
     """
     seed = np.asarray(seed_periods, dtype=float)
-    if seed.shape != ewp.t.shape or not np.isfinite(seed).all():
+    if seed.shape != ewp.t.shape or not all(map(math.isfinite, seed.tolist())):
         return None
     try:
         result = waterfill_chain(ewp.t, ewp.g, ewp.b, ewp.head_cap, ewp.deadline)
@@ -124,12 +125,14 @@ def warm_start_solve(
         return None
     if result.status is not SolverStatus.OPTIMAL:
         return None
-    A, c, labels = ewp.constraint_system()
-    cert = certify_linear(A, c, result.x, labels=labels, tol=_CERT_TOL)
+    cert, binding = ewp.check_rows(result.x)
     if not cert.satisfied:
         return None
     result.extra["certificate"] = cert
-    return ewp._solution_from_x(result.x, "warmstart(waterfill-chain)", result), cert
+    solution = ewp._solution_from_x(
+        result.x, "warmstart(waterfill-chain)", result, binding
+    )
+    return solution, cert
 
 
 def solve_plan(
@@ -161,8 +164,7 @@ def solve_plan(
 
     ewp = EnforcedWaitsProblem(problem, b)
     shape = shape_key(problem.pipeline, ewp.b, method=method)
-    feas = enforced_feasibility(problem, ewp.b)
-    if warm_start and feas.feasible:
+    if warm_start and ewp.feasibility().feasible:
         seed = cache.nearest_by_shape(shape)
         if seed is not None:
             warm = warm_start_solve(ewp, seed.periods)

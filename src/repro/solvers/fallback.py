@@ -35,6 +35,7 @@ __all__ = [
     "FeasibilityCertificate",
     "FallbackRung",
     "certify_linear",
+    "certify_violations",
     "perturbation_scale",
     "solve_with_fallback",
 ]
@@ -97,13 +98,32 @@ def certify_linear(
             tol=tol,
         )
     violation = (A @ x - c) / np.maximum(np.abs(c), 1.0)
-    worst = int(np.argmax(violation))
-    label = labels[worst] if labels is not None else f"row_{worst}"
-    max_violation = float(violation[worst])
+    return certify_violations(violation.tolist(), labels, tol=tol)
+
+
+def certify_violations(
+    violation: Sequence[float],
+    labels: Sequence[str] | None = None,
+    *,
+    tol: float = 1e-9,
+) -> FeasibilityCertificate:
+    """The certificate of precomputed scaled row violations.
+
+    ``violation[i]`` is ``(A x - c)_i / max(|c_i|, 1)``, as
+    :func:`certify_linear` computes it.  The worst row is the first
+    maximum, a NaN counting as the maximum (``np.argmax``'s rule).
+    """
+    worst, top = 0, violation[0]
+    for i, v in enumerate(violation):
+        if v != v:
+            worst, top = i, v
+            break
+        if v > top:
+            worst, top = i, v
     return FeasibilityCertificate(
-        satisfied=max_violation <= tol,
-        max_violation=max_violation,
-        worst_constraint=label,
+        satisfied=top <= tol,
+        max_violation=float(top),
+        worst_constraint=labels[worst] if labels is not None else f"row_{worst}",
         tol=tol,
     )
 

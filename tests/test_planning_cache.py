@@ -126,6 +126,35 @@ class TestKeyCanonicalization:
         with pytest.raises(SpecError, match="length"):
             plan_key(problem, [1.0, 2.0, 3.0])
 
+    def test_keys_are_pinned(self):
+        """Literal digests: a change to key encoding orphans every stored plan."""
+        from repro.apps.blast.pipeline import blast_pipeline, calibrated_b
+
+        blast = RealTimeProblem(blast_pipeline(), 20.0, 1.5e5)
+        assert plan_key(blast, calibrated_b()) == (
+            "c8292e734da2527aa0a8eb4dea8a5c06713819eec8b216308a2f85fe74138ec3"
+        )
+        assert shape_key(blast.pipeline, calibrated_b()) == (
+            "853a4546482f8d6e93643176403cc81fe885d29c3b40030a9203189cb991ae2e"
+        )
+        assert plan_key(blast, calibrated_b(), method="fallback") == (
+            "29c0f7e293d0361d4ccd1bac9b5d0860e6cfbe2f7215cf060869e917624a60c7"
+        )
+        # Integer service times and b key as their float64 values.
+        ints = PipelineSpec((NodeSpec("a", 2), NodeSpec("b", 3)), 4)
+        assert plan_key(RealTimeProblem(ints, 5, 100), [1, 2]) == (
+            "bfe53140006a96ff053e7c214ba60e7091d71f112a78f5a184350b47235cdbe0"
+        )
+        assert shape_key(ints, np.asarray([1.0, 2.0])) == (
+            "ad4a87102867c52624f5536f456ea45a4232d402a71cb31ed723ad4a04ccdd0f"
+        )
+
+    def test_pipeline_key_bytes_are_memoized(self, pipeline):
+        assert pipeline.key_bytes is pipeline.key_bytes
+        assert pipeline.key_bytes == (
+            np.asarray([10.0, 20.0]).tobytes(), np.asarray([0.5, 1.0]).tobytes()
+        )
+
 
 class TestSolutionRoundTrip:
     def test_bit_exact_json_round_trip(self, solution):
